@@ -214,6 +214,11 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if not args.tol > 0:
+            raise ParseError(f"--tol must be positive, got {args.tol:g}")
+        if getattr(args, "samples", 2) < 2:
+            raise ParseError("--samples must be at least 2 (the standard "
+                             f"error needs two draws), got {args.samples}")
         return args.func(args)
     except (ToleranceError, MomentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

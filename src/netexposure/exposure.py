@@ -5,13 +5,14 @@ netted position as a product of signed absolute values (claims positive,
 debts negative, undirected links symmetric), then extract the expectation
 of the clipped position max[Y; 0] as
 
-    E = 1/2 E(Y) + 1/2 d/dw H{phi_Y}(0),
+    E = 1/2 E(Y) + 1/2 d/dw H{phi_Y}(0) = 1/2 E(Y) + 1/2 E|Y|,
 
 the derivative form of the max-formula for the clipped variable's c.f.
 (the H(0) constant drops under differentiation, and E(Y) vanishes for
-balanced or undirected sets). Laplace markets additionally admit an exact
-rational value per set, which is what makes whole-market regressions
-bit-reproducible.
+balanced or undirected sets). The value depends only on the set's
+signature and the law, so a market evaluation computes each signature
+once. Laplace markets additionally admit an exact rational value per
+set, which is what makes whole-market regressions bit-reproducible.
 """
 
 import math
@@ -30,6 +31,7 @@ from .charfn import (
     cf_product,
     neg_abs_cf,
     pos_abs_cf,
+    _richardson_central,
 )
 from .transforms import hilbert, hilbert_deriv_at_zero
 from .market import (
@@ -145,34 +147,41 @@ def exposure_cf(f: CharFn, tol: float = 1e-8) -> CharFn:
     return CharFn(fn=fn, label=f"max[{f.label or 'Y'}; 0]")
 
 
-def _deriv_error(f: CharFn, tol: float) -> float:
-    if f.gaussian_variance is not None:
-        return 0.0
-    if f.side is not None or f.rational is not None:
-        return 1e-9
-    return tol
-
-
 def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
-                      tol: float = DEFAULT_TOL) -> SetExposure:
+                      tol: float = DEFAULT_TOL,
+                      cache: dict | None = None) -> SetExposure:
     """Expected exposure of one netting set.
 
     Closed forms where the structure allows: all-debt sets are worthless
     claims (0), all-claim sets pay the full mean, balanced Laplace sets
     have an exact rational value. Balanced or undirected sets otherwise
-    take the parity shortcut E = 1/2 dH(0); everything else runs the
-    general two-term formula.
+    take the parity shortcut E = 1/2 E|Y|; everything else runs the
+    general two-term formula. The error is half the quadrature's error
+    estimate for E|Y|, and 0 for closed forms. ``cache`` maps signatures
+    to results; share one only between calls with the same law and tol.
     """
-    plus, minus, sym = _signature(s)
     common = dict(owner=s.owner, kind=s.kind, links=s.link_indices)
     if not s.items:
         warnings.warn(f"empty netting set for {s.owner!r}: exposure is 0",
                       stacklevel=2)
         return SetExposure(value=0.0, method="closed-form", error=0.0,
                            exact=Fraction(0), **common)
+    key = _signature(s)
+    if cache is not None and key in cache:
+        return replace(cache[key], **common)
+    e = _signature_exposure(m, s, dist, tol, common)
+    if cache is not None:
+        cache[key] = e
+    return e
+
+
+def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
+                        tol: float, common: dict) -> SetExposure:
+    """Uncached exposure of a nonempty set."""
     if not dist.two_sided:
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
+    plus, minus, sym = _signature(s)
     if sym == 0 and plus == 0:
         # every item is a debt: the net position is never positive
         return SetExposure(value=0.0, method="closed-form", error=0.0,
@@ -199,7 +208,7 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
                            **common)
 
     f = netting_set_cf(m, s, dist)
-    deriv = hilbert_deriv_at_zero(f, tol)
+    deriv, error = hilbert_deriv_at_zero(f, tol, with_error=True)
     if balanced:
         value = 0.5 * deriv
         method = "shortcut"
@@ -207,7 +216,7 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
         value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * deriv
         method = "numeric"
     return SetExposure(value=max(value, 0.0), method=method,
-                       error=_deriv_error(f, tol), **common)
+                       error=0.5 * error, **common)
 
 
 def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
@@ -215,16 +224,8 @@ def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
     Richardson finite differences: the four-step route, kept as an
     independent cross-check of the derivative form."""
     phi_max = exposure_cf(f, tol=tol * 0.01)
-    steps = (0.4, 0.2, 0.1, 0.05, 0.025)
-    table = [complex(phi_max.fn(h) - phi_max.fn(-h)) / (2.0 * h)
-             for h in steps]
-    k = 1
-    while len(table) > 1:
-        factor = 4.0**k
-        table = [(factor * b - a) / (factor - 1.0)
-                 for a, b in zip(table, table[1:])]
-        k += 1
-    return float((table[0] / 1j).real)
+    slope = _richardson_central(phi_max.fn, (0.4, 0.2, 0.1, 0.05, 0.025))
+    return float((complex(slope) / 1j).real)
 
 
 def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
@@ -257,9 +258,10 @@ def _aggregate(m: Market, sets: dict[str, list[NettingSet]],
     per_set: list[SetExposure] = []
     per_participant = {v: 0.0 for v in m.participants}
     components: dict[str, float] = {}
+    cache: dict = {}  # one market evaluation: one law, one tolerance
     for v in m.participants:
         for s in sets.get(v, []):
-            e = expected_exposure(m, s, dist, tol)
+            e = expected_exposure(m, s, dist, tol, cache)
             per_set.append(e)
             per_participant[v] += e.value
             if components_of is not None:

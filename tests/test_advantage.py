@@ -39,6 +39,16 @@ def test_gamma_function_identity_up_to_twenty():
         assert abs(gamma_form - binomial) <= 1e-12 * binomial
 
 
+def test_gamma_function_identity_over_table_pool_sizes():
+    # every pool size the full table (k_max = 30, N up to 118) evaluates
+    assert min_participants_table(LaplaceSym(1.0), 30)[-1] == 118
+    for m in range(1, 118):
+        binomial = float(laplace_expected(m))
+        gamma_form = math.exp(math.lgamma(0.5 + m) - math.lgamma(m)) \
+            / math.sqrt(math.pi)
+        assert abs(gamma_form - binomial) <= 1e-12 * binomial, m
+
+
 def test_pool_values_increasing_and_concave():
     values = [laplace_expected(m) for m in range(0, 31)]
     diffs = [b - a for a, b in zip(values, values[1:])]

@@ -230,3 +230,22 @@ def test_write_report_renders_both_formats(tmp_path):
     assert data["market_total_exact"] == "95/16"
     with pytest.raises(ValueError, match="format"):
         format_report(report, "xml")
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_nonpositive_tol_exits_one(tmp_path, capsys, tol):
+    path = market_file(tmp_path, two_tier(True), Bilateral(),
+                       NormalSym(1.0))
+    assert main(["--tol", tol, "analyze", "--market", str(path)]) == 1
+    assert "--tol must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "1", "-5"])
+def test_mc_check_needs_two_samples(tmp_path, capsys, samples):
+    path = market_file(tmp_path, two_tier(True), Bilateral(),
+                       LaplaceSym(1.0))
+    assert main(["mc-check", "--market", str(path),
+                 "--samples", samples]) == 1
+    captured = capsys.readouterr()
+    assert "--samples must be at least 2" in captured.err
+    assert captured.out == ""

@@ -456,3 +456,112 @@ def test_expected_market_custom_convention():
     rep = expected_market(m, LaplaceSym(1.0), conv)
     # v nets both classes (3/4); w holds two single sets (1/2 each)
     assert rep.market_total_exact == Fraction(3, 4) + 2 * Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# Signature cache and the E|Y| route
+# ---------------------------------------------------------------------------
+
+CONFTEST_MARKETS = (
+    illustrative_market(), path_market(), triangle_directed(),
+    triangle_undirected(), two_tier(True), two_tier(False),
+    complete_market(4, 2), two_vertex_market(3),
+)
+
+
+def directed_complete_market(n: int, k: int) -> Market:
+    """Complete digraph, each class oriented by its own rotation, so the
+    sets mix claims and debts in many proportions."""
+    parts = tuple(f"p{i}" for i in range(n))
+    links = tuple(Link(parts[i], parts[j], c, True)
+                  if (i + j * c) % 3 else Link(parts[j], parts[i], c, True)
+                  for c in range(1, k + 1)
+                  for i in range(n) for j in range(i + 1, n))
+    return Market(parts, k, links, directed=True)
+
+
+def signature(s: NettingSet) -> tuple[int, int, int]:
+    return s.signs.count(+1), s.signs.count(-1), s.signs.count(0)
+
+
+@pytest.mark.parametrize("dist", [LaplaceSym(1.0), NormalSym(1.0),
+                                  UniformSym(1.0)], ids=repr)
+@pytest.mark.parametrize("convention", [Bilateral(), Multilateral(1)],
+                         ids=repr)
+def test_cached_report_equals_uncached_sets(dist, convention):
+    for m in CONFTEST_MARKETS + (directed_complete_market(4, 2),):
+        report = expected_market(m, dist, convention)
+        sets = netting_sets(m, convention)
+        uncached = tuple(expected_exposure(m, s, dist)
+                         for v in m.participants for s in sets.get(v, []))
+        assert report.per_netting_set == uncached
+        exact = [e.exact for e in uncached]
+        if all(x is not None for x in exact):
+            assert report.market_total_exact == sum(exact, Fraction(0))
+
+
+UNIFORM_EXACT = {(1, 1): Fraction(1, 6), (1, 2): Fraction(1, 24),
+                 (2, 1): Fraction(13, 24), (1, 3): Fraction(1, 120),
+                 (2, 2): Fraction(7, 30), (3, 1): Fraction(121, 120)}
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-9])
+def test_uniform_sets_match_exact_rationals(tol):
+    for (np_, nm), exact in UNIFORM_EXACT.items():
+        m = hub_market(np_, nm)
+        e = expected_exposure(m, hub_set(m), UniformSym(1.0), tol)
+        assert e.method in ("shortcut", "numeric")
+        assert abs(e.value - exact) <= min(1e-9, e.error), (np_, nm)
+        assert 0 < e.error <= 0.5 * tol
+
+
+def residue_tier_slope(f) -> float:
+    """d/dw of the residue-calculus transform at 0, by Richardson
+    extrapolation of central differences."""
+    from netexposure import hilbert_rational
+
+    table = [(hilbert_rational(f, h) - hilbert_rational(f, -h)).real / (2 * h)
+             for h in (1e-2, 5e-3, 2.5e-3)]
+    r1, r2 = (4 * table[1] - table[0]) / 3, (4 * table[2] - table[1]) / 3
+    return (16 * r2 - r1) / 15
+
+
+def test_laplace_sets_match_residue_tier():
+    for np_ in range(4):
+        for nm in range(4):
+            for ns in range(3):
+                if np_ + nm + ns == 0:
+                    continue
+                m = hub_market(np_, nm, ns)
+                s = hub_set(m)
+                e = expected_exposure(m, s, LaplaceSym(1.0), 1e-9)
+                if e.method == "closed-form":
+                    continue
+                f = netting_set_cf(m, s, LaplaceSym(1.0))
+                want = 0.5 * (np_ - nm) + 0.5 * residue_tier_slope(f)
+                assert e.value == pytest.approx(want, abs=1e-9), (np_, nm, ns)
+                assert abs(e.value - want) <= e.error + 1e-12
+
+
+def test_one_derivative_per_distinct_signature(monkeypatch):
+    import netexposure.exposure as exposure
+
+    calls = []
+    original = exposure.hilbert_deriv_at_zero
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exposure, "hilbert_deriv_at_zero", counting)
+    m = directed_complete_market(6, 3)
+    for dist in (NormalSym(1.0), UniformSym(1.0), LaplaceSym(1.0)):
+        for convention in (Bilateral(), Multilateral(1)):
+            calls.clear()
+            report = expected_market(m, dist, convention)
+            sets = [s for v in m.participants
+                    for s in netting_sets(m, convention).get(v, [])]
+            numeric = [signature(s)
+                       for s, e in zip(sets, report.per_netting_set)
+                       if e.method != "closed-form"]
+            assert len(calls) == len(set(numeric)) < len(numeric)

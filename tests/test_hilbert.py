@@ -92,6 +92,10 @@ def test_dawson_against_scipy():
 
     xs = np.linspace(-30.0, 30.0, 301)
     assert np.max(np.abs(dawson(xs) - dawsn(xs))) < 1e-13
+    # one-signed arrays stop the series on their own, for either sign
+    for xs in (np.linspace(0.01, 0.5, 50), np.linspace(-6.0, -0.01, 50)):
+        assert np.max(np.abs(dawson(xs) - dawsn(xs))) < 1e-13
+        assert dawson(float(xs[0])) == pytest.approx(dawsn(xs[0]), abs=1e-13)
 
 
 # ---------------------------------------------------------------------------
