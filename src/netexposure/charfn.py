@@ -389,12 +389,17 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
     if len(fs) == 1:
         return fs[0]
 
-    evaluators = [f.fn for f in fs]
+    # a repeated factor is evaluated once per call; the product keeps
+    # the original order, so the result is the same to the last bit
+    distinct = list({id(f.fn): f.fn for f in fs}.values())
+    slot = {id(ev): k for k, ev in enumerate(distinct)}
+    order = [slot[id(f.fn)] for f in fs]
 
     def fn(t):
-        out = evaluators[0](t)
-        for ev in evaluators[1:]:
-            out = out * ev(t)
+        values = [ev(t) for ev in distinct]
+        out = values[order[0]]
+        for k in order[1:]:
+            out = out * values[k]
         return out
 
     rational = None

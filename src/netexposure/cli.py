@@ -166,7 +166,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="netexposure",
         description="Expected counterparty exposure of financial networks "
-                    "via characteristic functions and Hilbert transforms.")
+                    "via characteristic functions and Hilbert transforms.",
+        epilog=f"exit codes: {EXIT_OK} ok, {EXIT_INVALID} invalid input, "
+               f"{EXIT_NUMERIC} numeric failure")
     parser.add_argument("--tol", type=float, default=1e-7,
                         help="absolute tolerance for numeric paths")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -219,6 +221,8 @@ def main(argv=None) -> int:
         if getattr(args, "samples", 2) < 2:
             raise ParseError("--samples must be at least 2 (the standard "
                              f"error needs two draws), got {args.samples}")
+        if getattr(args, "power", 1) < 1:
+            raise ParseError(f"--power must be at least 1, got {args.power}")
         return args.func(args)
     except (ToleranceError, MomentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -89,10 +89,8 @@ class ExposureReport:
 
 
 def _signature(s: NettingSet) -> tuple[int, int, int]:
-    plus = sum(1 for _, sign in s.items if sign == +1)
-    minus = sum(1 for _, sign in s.items if sign == -1)
-    sym = sum(1 for _, sign in s.items if sign == SIGN_SYMMETRIC)
-    return plus, minus, sym
+    signs = s.signs
+    return signs.count(+1), signs.count(-1), signs.count(SIGN_SYMMETRIC)
 
 
 def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
@@ -167,8 +165,10 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
         return SetExposure(value=0.0, method="closed-form", error=0.0,
                            exact=Fraction(0), **common)
     key = _signature(s)
-    if cache is not None and key in cache:
-        return replace(cache[key], **common)
+    hit = cache.get(key) if cache is not None else None
+    if hit is not None:
+        return SetExposure(value=hit.value, method=hit.method,
+                           error=hit.error, exact=hit.exact, **common)
     e = _signature_exposure(m, s, dist, tol, common)
     if cache is not None:
         cache[key] = e

@@ -11,6 +11,7 @@ is read-only.
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterator
 
 __all__ = [
@@ -69,15 +70,35 @@ class Link:
 
 @dataclass(frozen=True)
 class Market:
+    """N participants, K classes and the links between them.
+
+    The incidence index (each vertex's link indices, ascending) and the
+    validation errors are computed lazily, once per instance; a market
+    built by ``dataclasses.replace`` starts without them.
+    """
+
     participants: tuple[str, ...]
     n_classes: int
     links: tuple[Link, ...]
     directed: bool = False
 
+    @cached_property
+    def _incidence(self) -> dict[str, list[int]]:
+        index: dict[str, list[int]] = {}
+        for i, a in enumerate(self.links):
+            index.setdefault(a.source, []).append(i)
+            if a.target != a.source:
+                index.setdefault(a.target, []).append(i)
+        return index
+
+    @cached_property
+    def _errors(self) -> tuple[str, ...]:
+        return tuple(validate_market(self))
+
     def incident_links(self, vertex: str, cls: int | None = None
                        ) -> list[int]:
-        return [i for i, a in enumerate(self.links)
-                if a.incident(vertex) and (cls is None or a.cls == cls)]
+        return [i for i in self._incidence.get(vertex, ())
+                if cls is None or self.links[i].cls == cls]
 
     def neighbourhood(self, vertex: str, cls: int | None = None) -> list[str]:
         seen: dict[str, None] = {}
@@ -175,9 +196,8 @@ def validate_market(m: Market) -> list[str]:
 
 
 def require_valid(m: Market) -> Market:
-    errors = validate_market(m)
-    if errors:
-        raise MarketError("; ".join(errors))
+    if m._errors:
+        raise MarketError("; ".join(m._errors))
     return m
 
 
@@ -240,14 +260,18 @@ def _sign_for(a: Link, owner: str) -> int:
     return +1 if a.target == owner else -1
 
 
-def bilateral_partition(m: Market) -> dict[str, list[NettingSet]]:
-    """Per vertex, one netting set per counterparty, pooling all classes."""
+def bilateral_partition(m: Market, skip_cls: int | None = None
+                        ) -> dict[str, list[NettingSet]]:
+    """Per vertex, one netting set per counterparty, pooling all classes
+    but ``skip_cls``."""
     out: dict[str, list[NettingSet]] = {v: [] for v in m.participants}
     for v in m.participants:
         by_peer: dict[str, list[tuple[int, int]]] = {}
         for i in m.incident_links(v):
             a = m.links[i]
-            by_peer.setdefault(a.other(v), []).append((i, _sign_for(a, v)))
+            if a.cls != skip_cls:
+                by_peer.setdefault(a.other(v), []).append(
+                    (i, _sign_for(a, v)))
         for peer, items in by_peer.items():
             out[v].append(NettingSet(owner=v, items=tuple(items),
                                      kind=f"bilateral:{peer}"))
@@ -266,41 +290,18 @@ def multilateral_partition(m: Market, cls: int) -> dict[str, NettingSet]:
     return out
 
 
-def _bilateral_excluding(m: Market, skip_cls: int) -> dict[str, list[NettingSet]]:
-    out: dict[str, list[NettingSet]] = {v: [] for v in m.participants}
+def _validate_partition(m: Market, sets: dict[str, list[NettingSet]],
+                        incident: dict[str, set[int]]) -> None:
     for v in m.participants:
-        by_peer: dict[str, list[tuple[int, int]]] = {}
-        for i in m.incident_links(v):
-            a = m.links[i]
-            if a.cls == skip_cls:
-                continue
-            by_peer.setdefault(a.other(v), []).append((i, _sign_for(a, v)))
-        for peer, items in by_peer.items():
-            out[v].append(NettingSet(owner=v, items=tuple(items),
-                                     kind=f"bilateral:{peer}"))
-    return out
-
-
-def _validate_partition(m: Market, sets: dict[str, list[NettingSet]]) -> None:
-    for v in m.participants:
-        incident = set(m.incident_links(v))
         covered: list[int] = []
-        for s in sets.get(v, []):
-            if s.owner != v:
-                raise MarketError(f"netting set owned by {s.owner!r} "
-                                  f"listed under {v!r}")
+        for s in sets[v]:
             if not s.items:
                 raise MarketError(f"empty netting set for {v!r}")
-            for i, _ in s.items:
-                if i not in incident:
-                    raise MarketError(
-                        f"link {i} in a netting set of {v!r} is not "
-                        f"incident to it")
             covered.extend(s.link_indices)
         if len(covered) != len(set(covered)):
             raise MarketError(f"overlapping netting sets for {v!r}")
-        if set(covered) != incident:
-            missing = sorted(incident - set(covered))
+        if set(covered) != incident[v]:
+            missing = sorted(incident[v] - set(covered))
             raise MarketError(f"netting sets of {v!r} do not cover links "
                               f"{missing}")
 
@@ -318,7 +319,7 @@ def netting_sets(m: Market, convention: Convention
         return bilateral_partition(m)
     if isinstance(convention, Multilateral):
         pooled = multilateral_partition(m, convention.cls)
-        rest = _bilateral_excluding(m, convention.cls)
+        rest = bilateral_partition(m, skip_cls=convention.cls)
         out = {}
         for v in m.participants:
             sets = [pooled[v]] if pooled[v].items else []
@@ -327,14 +328,19 @@ def netting_sets(m: Market, convention: Convention
         return out
     if isinstance(convention, Custom):
         out = {v: [] for v in m.participants}
+        incident = {v: set(m.incident_links(v)) for v in m.participants}
         for owner, block in convention.sets:
             if owner not in out:
                 raise MarketError(f"unknown participant {owner!r} "
                                   f"in custom partition")
+            for i in block:  # before m.links[i]: i may be out of range
+                if i not in incident[owner]:
+                    raise MarketError(f"link {i} in a netting set of "
+                                      f"{owner!r} is not incident to it")
             items = tuple((i, _sign_for(m.links[i], owner)) for i in block)
             out[owner].append(NettingSet(owner=owner, items=items,
                                          kind="custom"))
-        _validate_partition(m, out)
+        _validate_partition(m, out, incident)
         return out
     raise TypeError(f"unknown convention: {convention!r}")
 

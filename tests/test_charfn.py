@@ -18,7 +18,7 @@ from netexposure import (
     pos_abs_cf,
     sample,
 )
-from netexposure.charfn import MomentError, signed_abs_cf
+from netexposure.charfn import CharFn, MomentError, signed_abs_cf
 
 CATALOG = [
     LaplaceSym(1.0),
@@ -134,6 +134,27 @@ def test_product_is_pointwise_product():
     ts = np.linspace(-5.0, 5.0, 23)
     direct = fs[0](ts) * fs[1](ts) * fs[2](ts)
     assert np.max(np.abs(prod(ts) - direct)) < 1e-14
+
+
+def test_repeated_factor_evaluated_once_per_call():
+    calls = []
+
+    def counting(t):
+        calls.append(t)
+        return np.exp(-np.abs(t)) + 0j
+
+    f = CharFn(fn=counting)
+    other = pos_abs_cf(charfn_of(NormalSym(1.0)))
+    prod = cf_product([f, other, f, f, other, f])
+    ts = np.linspace(-3.0, 3.0, 11)
+    values = prod(ts)
+    prod(0.5)
+    assert len(calls) == 2
+    # same factors multiplied in the same order: equal to the last bit
+    direct = counting(ts)
+    for g in (other, f, f, other, f):
+        direct = direct * g(ts)
+    assert np.array_equal(values, direct)
 
 
 def test_laplace_square_product():

@@ -249,3 +249,39 @@ def test_mc_check_needs_two_samples(tmp_path, capsys, samples):
     captured = capsys.readouterr()
     assert "--samples must be at least 2" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("index", [5, -1])
+def test_custom_link_index_out_of_range_exits_one(tmp_path, capsys, index):
+    path = tmp_path / "badindex.json"
+    path.write_text(json.dumps({
+        "participants": ["a", "b"], "classes": 1,
+        "links": [{"from": "a", "to": "b", "class": 1, "directed": False}],
+        "convention": {"type": "custom",
+                       "sets": [{"owner": "a", "links": [0]},
+                                {"owner": "b", "links": [index]}]},
+        "dist": {"type": "laplace", "scale": 1.0},
+    }))
+    assert main(["analyze", "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"link {index} in a netting set of 'b'" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("power", ["0", "-2"])
+def test_hilbert_eval_power_below_one_exits_one(capsys, power):
+    assert main(["hilbert-eval", "--dist", "laplace", "--power", power,
+                 "--omega", "1.0"]) == 1
+    captured = capsys.readouterr()
+    assert "--power must be at least 1" in captured.err
+    assert "decay" not in captured.err
+    assert captured.out == ""
+
+
+def test_help_states_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert ("exit codes: 0 ok, 1 invalid input, 2 numeric failure"
+            in capsys.readouterr().out)

@@ -14,6 +14,7 @@ from netexposure import (
     Market,
     MarketError,
     Multilateral,
+    NettingSet,
     bilateral_partition,
     current_bilateral_risk,
     current_multilateral_risk,
@@ -24,6 +25,7 @@ from netexposure import (
     netting_sets,
     validate_market,
 )
+from netexposure.market import require_valid
 from conftest import (
     illustrative_market,
     path_market,
@@ -224,6 +226,147 @@ def test_custom_partition_rejects_nonincident():
                         ("c", (1,))))
     with pytest.raises(MarketError, match="not\\s+incident"):
         netting_sets(m, conv)
+
+
+@pytest.mark.parametrize("index", [5, 1, -1, -2])
+def test_custom_partition_rejects_link_index_out_of_range(index):
+    m = Market(("a", "b"), 1, (Link("a", "b", 1, False),))
+    conv = Custom(sets=(("a", (0,)), ("b", (index,))))
+    with pytest.raises(MarketError,
+                       match=f"link {index} in a netting set of 'b'"):
+        netting_sets(m, conv)
+
+
+# ---------------------------------------------------------------------------
+# Incidence index against the link scan
+# ---------------------------------------------------------------------------
+
+def scan_incident(m, v, cls=None):
+    """Reference incidence: one pass over every link."""
+    return [i for i, a in enumerate(m.links)
+            if a.incident(v) and (cls is None or a.cls == cls)]
+
+
+def scan_sign(a, owner):
+    if not a.directed:
+        return 0
+    return +1 if a.target == owner else -1
+
+
+def scan_bilateral(m, skip_cls=None):
+    out = {}
+    for v in m.participants:
+        by_peer = {}
+        for i in scan_incident(m, v):
+            a = m.links[i]
+            if a.cls != skip_cls:
+                by_peer.setdefault(a.other(v), []).append(
+                    (i, scan_sign(a, v)))
+        out[v] = [NettingSet(v, tuple(items), f"bilateral:{peer}")
+                  for peer, items in by_peer.items()]
+    return out
+
+
+def scan_netting_sets(m, convention):
+    """Brute-force partition oracle built on ``scan_incident``."""
+    if isinstance(convention, Bilateral):
+        return scan_bilateral(m)
+    if isinstance(convention, Multilateral):
+        rest = scan_bilateral(m, convention.cls)
+        out = {}
+        for v in m.participants:
+            items = tuple((i, scan_sign(m.links[i], v))
+                          for i in scan_incident(m, v, convention.cls))
+            pooled = NettingSet(v, items, f"multilateral:{convention.cls}")
+            out[v] = ([pooled] if items else []) + rest[v]
+        return out
+    out = {v: [] for v in m.participants}
+    for owner, block in convention.sets:
+        out[owner].append(NettingSet(
+            owner, tuple((i, scan_sign(m.links[i], owner)) for i in block),
+            "custom"))
+    return out
+
+
+@st.composite
+def small_markets(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 3))
+    directed = draw(st.booleans())
+    parts = tuple(f"p{i}" for i in range(n))
+    links = []
+    for c in range(1, k + 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if draw(st.booleans()):
+                    src, dst = (parts[i], parts[j]) if draw(st.booleans()) \
+                        else (parts[j], parts[i])
+                    links.append(Link(src, dst, c, directed
+                                      and draw(st.booleans())))
+    links = draw(st.permutations(links))
+    return Market(parts, k, tuple(links),
+                  directed=any(a.directed for a in links))
+
+
+def random_custom(m, rng):
+    """A valid custom partition: each owner's links, shuffled and cut
+    into nonempty blocks."""
+    sets = []
+    for v in m.participants:
+        links = scan_incident(m, v)
+        rng.shuffle(links)
+        while links:
+            size = rng.randint(1, len(links))
+            sets.append((v, tuple(links[:size])))
+            links = links[size:]
+    rng.shuffle(sets)
+    return Custom(sets=tuple(sets))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets(), st.randoms(use_true_random=False))
+def test_partitions_match_scan_oracle(m, rng):
+    assert validate_market(m) == []
+    for v in m.participants:
+        for cls in (None, *range(1, m.n_classes + 1)):
+            assert m.incident_links(v, cls) == scan_incident(m, v, cls)
+    conventions = [Bilateral(), random_custom(m, rng)]
+    conventions += [Multilateral(c) for c in range(1, m.n_classes + 1)]
+    for conv in conventions:
+        # equal lists: set order and item order included
+        assert netting_sets(m, conv) == scan_netting_sets(m, conv)
+
+
+def test_incidence_lists_self_link_once():
+    m = Market(("v", "w"), 1, (Link("v", "v", 1, False),
+                               Link("v", "w", 1, False)))
+    assert m.incident_links("v") == scan_incident(m, "v") == [0, 1]
+    assert m.incident_links("w") == [1]
+    assert m.incident_links("x") == []
+
+
+def test_require_valid_raises_on_every_call():
+    m = Market(("v", "w"), 1, (Link("v", "v", 1, False),))
+    for _ in range(3):
+        with pytest.raises(MarketError, match="self-link"):
+            require_valid(m)
+    assert validate_market(m) == validate_market(m) != []
+
+
+def test_replace_sees_new_links():
+    m = two_vertex_market(2)
+    assert m.incident_links("v") == [0, 1]
+    require_valid(m)
+    grown = dataclasses.replace(
+        m, participants=("v", "w", "x"),
+        links=m.links + (Link("v", "x", 1, False), Link("x", "x", 2, False)))
+    assert grown.incident_links("v") == [0, 1, 2]
+    assert grown.incident_links("x", 1) == [2]
+    assert len(netting_sets(grown, Bilateral())["v"]) == 2
+    with pytest.raises(MarketError, match="self-link"):
+        require_valid(grown)
+    assert m == two_vertex_market(2)
+    assert hash(m) == hash(two_vertex_market(2))
 
 
 # ---------------------------------------------------------------------------
