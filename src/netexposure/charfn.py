@@ -61,8 +61,9 @@ class Distribution:
 
 def _require_positive(**params: float) -> None:
     for name, value in params.items():
-        if not value > 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, "
+                             f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -589,6 +590,27 @@ def cf_mean(f: CharFn) -> float:
 # Sampling (feeds the Monte Carlo oracle)
 # ---------------------------------------------------------------------------
 
+def _laplace_sample(scale: float, rng: np.random.Generator,
+                    sign: int | None, size):
+    """Laplace(scale) draws as an exponential magnitude times a sign.
+
+    |X| of a Laplace(b) variable is Exp(b), so each draw costs one
+    ziggurat exponential. Unsigned draws take one fair sign bit each from
+    the same generator's raw 64-bit words, set by XOR on the float's sign
+    bit (the top bit of its uint64 view on either byte order).
+    """
+    x = rng.standard_exponential(1 if size is None else size)
+    x *= scale if sign is None else sign * scale
+    if sign is None:
+        n = x.size
+        words = rng.bit_generator.random_raw((n + 63) // 64)
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             count=n, bitorder="little")
+        flat = x.reshape(-1).view(np.uint64)
+        flat ^= np.left_shift(bits, 63, dtype=np.uint64)
+    return x[0] if size is None else x
+
+
 def sample(spec: Distribution, rng: np.random.Generator,
            sign: int | None = None, size: int | None = None):
     """Draw from the law, or from sign*|X| when a sign is given.
@@ -598,14 +620,14 @@ def sample(spec: Distribution, rng: np.random.Generator,
         rng: caller-owned numpy generator.
         sign: +1 or -1 to draw the signed absolute value; only legal for
             two-sided laws.
-        size: number of draws (None for a scalar).
+        size: number of draws or an array shape (None for a scalar).
     """
     if sign is not None and not spec.two_sided:
         raise ValueError("signed absolute values are defined only for "
                          "two-sided (symmetric) distributions")
     if isinstance(spec, LaplaceSym):
-        x = rng.laplace(0.0, spec.scale, size)
-    elif isinstance(spec, NormalSym):
+        return _laplace_sample(spec.scale, rng, sign, size)
+    if isinstance(spec, NormalSym):
         x = rng.normal(0.0, spec.sigma, size)
     elif isinstance(spec, UniformSym):
         x = rng.uniform(-spec.half_width, spec.half_width, size)

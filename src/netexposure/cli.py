@@ -6,6 +6,7 @@ parsing problems, 2 on numeric failure.
 """
 
 import argparse
+import math
 import sys
 
 from .advantage import ccp_advantage, min_participants_table
@@ -216,18 +217,23 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if not args.tol > 0:
-            raise ParseError(f"--tol must be positive, got {args.tol:g}")
+        if not 0 < args.tol < math.inf:
+            raise ParseError("--tol must be positive and finite, "
+                             f"got {args.tol:g}")
         if getattr(args, "samples", 2) < 2:
             raise ParseError("--samples must be at least 2 (the standard "
                              f"error needs two draws), got {args.samples}")
         if getattr(args, "power", 1) < 1:
             raise ParseError(f"--power must be at least 1, got {args.power}")
+        if not math.isfinite(getattr(args, "omega", 0.0)):
+            raise ParseError(f"--omega must be finite, got {args.omega:g}")
         return args.func(args)
-    except (ToleranceError, MomentError) as exc:
+    except (ToleranceError, MomentError, ArithmeticError) as exc:
+        # ArithmeticError: law parameters so extreme that floats
+        # overflow or underflow to a division by zero
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ParseError, MarketError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, MarketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except RuntimeError as exc:

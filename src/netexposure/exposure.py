@@ -17,6 +17,7 @@ set, which is what makes whole-market regressions bit-reproducible.
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -270,7 +271,11 @@ def _aggregate(m: Market, sets: dict[str, list[NettingSet]],
     total = float(sum(e.value for e in per_set))
     exact = None
     if per_set and all(e.exact is not None for e in per_set):
-        exact = sum((e.exact for e in per_set), Fraction(0))
+        # cache hits share their signature's Fraction object: add each
+        # object once, times its count, instead of once per set
+        counts = Counter(id(e.exact) for e in per_set)
+        values = {id(e.exact): e.exact for e in per_set}
+        exact = sum((n * values[k] for k, n in counts.items()), Fraction(0))
     pair_view: dict[tuple[str, str], float] = {}
     for e in per_set:
         if e.kind.startswith("bilateral:"):

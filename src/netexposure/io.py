@@ -45,11 +45,21 @@ class MarketFile:
     dist: Distribution | None
 
 
-def _need(obj: dict, key: str, kind, where: str):
+_REQUIRED = object()
+
+
+def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``obj[key]`` checked against ``kind`` (bools are not numbers); an
+    absent or null key gives ``default`` when one is given."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, "
+                         f"got {type(obj).__name__}")
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
     if key not in obj:
         raise ParseError(f"{where}.{key}: missing")
-    value = obj[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ParseError(f"{where}.{key}: expected {kind.__name__}, "
@@ -61,16 +71,17 @@ def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
     kind = _need(obj, "type", str, where)
     try:
         if kind == "laplace":
-            return LaplaceSym(scale=float(obj.get("scale", 1.0)))
+            return LaplaceSym(scale=_need(obj, "scale", float, where, 1.0))
         if kind == "normal":
-            return NormalSym(sigma=float(obj.get("sigma", 1.0)))
+            return NormalSym(sigma=_need(obj, "sigma", float, where, 1.0))
         if kind == "uniform":
-            return UniformSym(half_width=float(obj.get("half_width", 1.0)))
+            return UniformSym(
+                half_width=_need(obj, "half_width", float, where, 1.0))
         if kind == "gamma":
             return Gamma(shape=_need(obj, "shape", float, where),
                          scale=_need(obj, "scale", float, where))
         if kind == "exponential":
-            return Exponential(scale=float(obj.get("scale", 1.0)))
+            return Exponential(scale=_need(obj, "scale", float, where, 1.0))
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}.type: unknown distribution {kind!r}")
@@ -102,9 +113,14 @@ def _convention_from_json(obj: dict, where: str) -> Convention:
             raise ParseError(f"{where}.sets: expected a list of blocks")
         blocks = []
         for i, block in enumerate(sets):
-            owner = _need(block, "owner", str, f"{where}.sets[{i}]")
-            links = _need(block, "links", list, f"{where}.sets[{i}]")
-            blocks.append((owner, tuple(int(x) for x in links)))
+            at = f"{where}.sets[{i}]"
+            owner = _need(block, "owner", str, at)
+            links = _need(block, "links", list, at)
+            if not all(isinstance(x, int) and not isinstance(x, bool)
+                       for x in links):
+                raise ParseError(f"{at}.links: expected integer link "
+                                 "indices")
+            blocks.append((owner, tuple(links)))
         return Custom(sets=tuple(blocks))
     raise ParseError(f"{where}.type: unknown convention {kind!r}")
 
@@ -121,6 +137,25 @@ def _convention_to_json(conv: Convention) -> dict:
     raise TypeError(f"unknown convention: {conv!r}")
 
 
+def _parse_link(obj, i: int) -> Link:
+    """One link object. A well-typed unweighted link takes the fast path;
+    anything else goes through ``_need``, which names the bad field."""
+    if type(obj) is dict:
+        source, target, cls = obj.get("from"), obj.get("to"), obj.get("class")
+        directed = obj.get("directed", False)
+        if (type(source) is str and type(target) is str and type(cls) is int
+                and type(directed) is bool and obj.get("weight") is None):
+            return Link(source, target, cls, directed)
+    where = f"$.links[{i}]"
+    return Link(
+        source=_need(obj, "from", str, where),
+        target=_need(obj, "to", str, where),
+        cls=_need(obj, "class", int, where),
+        directed=_need(obj, "directed", bool, where, False),
+        weight=_need(obj, "weight", float, where, None),
+    )
+
+
 def parse_market_data(data: dict) -> MarketFile:
     """Build a validated market from decoded JSON."""
     participants = _need(data, "participants", list, "$")
@@ -129,21 +164,7 @@ def parse_market_data(data: dict) -> MarketFile:
             raise ParseError(f"$.participants[{i}]: expected str")
     n_classes = _need(data, "classes", int, "$")
     raw_links = _need(data, "links", list, "$")
-    links = []
-    for i, obj in enumerate(raw_links):
-        where = f"$.links[{i}]"
-        if not isinstance(obj, dict):
-            raise ParseError(f"{where}: expected an object")
-        weight = obj.get("weight")
-        if weight is not None and not isinstance(weight, (int, float)):
-            raise ParseError(f"{where}.weight: expected number")
-        links.append(Link(
-            source=_need(obj, "from", str, where),
-            target=_need(obj, "to", str, where),
-            cls=_need(obj, "class", int, where),
-            directed=bool(obj.get("directed", False)),
-            weight=float(weight) if weight is not None else None,
-        ))
+    links = [_parse_link(obj, i) for i, obj in enumerate(raw_links)]
     market = Market(
         participants=tuple(participants),
         n_classes=n_classes,
@@ -164,7 +185,9 @@ def parse_market(path: str | Path) -> MarketFile:
     """Parse and validate a market file."""
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")

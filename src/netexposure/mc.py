@@ -5,8 +5,13 @@ so draws are independent of iteration order, identical across serial and
 parallel runs, and cheap to regenerate: consumers stream one link vector
 at a time instead of materialising the whole draw matrix. One realisation
 per link per sample feeds both the per-netting-set exposures and the
-market measures; reductions are numpy pairwise sums, deterministic for a
+market measures; reductions are in-place numpy sums, deterministic for a
 fixed seed.
+
+Directed links draw sign=+1 values, so a Laplace link costs one ziggurat
+exponential per sample (|X| of a Laplace(b) variable is Exp(b));
+undirected Laplace links add one fair sign bit per sample, taken from the
+same Philox stream (``charfn.sample``).
 """
 
 from dataclasses import dataclass
@@ -67,8 +72,8 @@ def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
     if not dist.two_sided:
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
-    x = sample(dist, _link_rng(seed, link_index), size=n)
-    return np.abs(x) if m.links[link_index].directed else x
+    sign = +1 if m.links[link_index].directed else None
+    return sample(dist, _link_rng(seed, link_index), sign=sign, size=n)
 
 
 def _estimate(values: np.ndarray) -> MCEstimate:
@@ -84,10 +89,11 @@ def _set_samples(m: Market, s: NettingSet, dist: Distribution, n: int,
     for i, sign in s.items:
         draw = link_draw(m, dist, i, n, seed)
         if sign == SIGN_SYMMETRIC:
-            rel = 1.0 if s.owner == m.links[i].source else -1.0
-            total += rel * draw
+            sign = 1 if s.owner == m.links[i].source else -1
+        if sign > 0:
+            total += draw
         else:
-            total += sign * draw
+            total -= draw
     return total
 
 
@@ -103,8 +109,9 @@ def mc_expected_exposure(m: Market, convention: Convention,
     out = {}
     for owner, sets in netting_sets(m, convention).items():
         for s in sets:
-            clipped = np.maximum(_set_samples(m, s, dist, n, seed), 0.0)
-            out[(owner, s.link_indices)] = _estimate(clipped)
+            total = _set_samples(m, s, dist, n, seed)
+            np.maximum(total, 0.0, out=total)
+            out[(owner, s.link_indices)] = _estimate(total)
     return out
 
 
@@ -126,19 +133,23 @@ def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
                          f"(market has {m.n_classes})")
     pair_pos: dict[frozenset, np.ndarray] = {}
     rest_pos: dict[frozenset, np.ndarray] = {}
-    vertex_pos = {v: np.zeros(n) for v in m.participants}
+    vertex_pos = ({v: np.zeros(n) for v in m.participants}
+                  if ccp_class is not None else {})
 
     for i, link in enumerate(m.links):
         draw = link_draw(m, dist, i, n, seed)
         key = frozenset((link.source, link.target))
         credit = link.target if link.directed else link.source
-        signed = draw if credit == min(key) else -draw
+        positive = credit == min(key)
         for pool in ((pair_pos,) if ccp_class is None or link.cls == ccp_class
                      else (pair_pos, rest_pos)):
-            if key in pool:
-                pool[key] = pool[key] + signed
+            y = pool.get(key)
+            if y is None:
+                pool[key] = draw.copy() if positive else -draw
+            elif positive:
+                y += draw
             else:
-                pool[key] = signed.copy()
+                y -= draw
         if ccp_class is not None and link.cls == ccp_class:
             debit = link.source if link.directed else link.target
             vertex_pos[credit] += draw
@@ -146,14 +157,14 @@ def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
 
     bilateral = np.zeros(n)
     for y in pair_pos.values():
-        bilateral += np.abs(y)
+        bilateral += np.abs(y, out=y)
     pooled = None
     if ccp_class is not None:
         pooled = np.zeros(n)
         for y in vertex_pos.values():
-            pooled += np.maximum(y, 0.0)
+            pooled += np.maximum(y, 0.0, out=y)
         for y in rest_pos.values():
-            pooled += np.abs(y)
+            pooled += np.abs(y, out=y)
     return bilateral, pooled
 
 

@@ -358,6 +358,44 @@ def test_gamma_sample_mean():
     assert abs(np.mean(x) - 2.0) < 4.0 * se
 
 
+@pytest.mark.parametrize("scale", [1.0, 2.5])
+def test_laplace_sample_matches_laplace_cdf(scale):
+    from scipy import stats
+
+    x = sample(LaplaceSym(scale), np.random.default_rng(41), size=50_000)
+    assert stats.kstest(x, stats.laplace(scale=scale).cdf).pvalue > 1e-3
+
+
+def test_laplace_sample_signs_are_fair():
+    n = 200_000
+    x = sample(LaplaceSym(1.0), np.random.default_rng(42), size=n)
+    assert abs(np.mean(x < 0) - 0.5) < 4.0 * math.sqrt(0.25 / n)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_signed_laplace_sample_is_exponential(sign):
+    from scipy import stats
+
+    x = sample(LaplaceSym(2.5), np.random.default_rng(43), sign=sign,
+               size=50_000)
+    assert np.all(sign * x >= 0)
+    assert stats.kstest(sign * x, stats.expon(scale=2.5).cdf).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("sign", [None, +1, -1])
+def test_laplace_sample_shapes(sign):
+    rng = np.random.default_rng(44)
+    scalar = sample(LaplaceSym(1.0), rng, sign=sign)
+    assert np.ndim(scalar) == 0 and isinstance(scalar, float)
+    grid = sample(LaplaceSym(1.0), rng, sign=sign, size=(3, 70))
+    assert grid.shape == (3, 70)
+    if sign is None:
+        # 210 draws use four raw words of sign bits, across the rows
+        assert 0 < np.sum(grid < 0) < grid.size
+    else:
+        assert np.all(sign * grid >= 0)
+
+
 @pytest.mark.parametrize("spec", CATALOG, ids=str)
 def test_empirical_cf_matches_evaluator(spec):
     n = 10**5

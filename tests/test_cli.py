@@ -285,3 +285,79 @@ def test_help_states_exit_codes(capsys):
     assert exc.value.code == 0
     assert ("exit codes: 0 ok, 1 invalid input, 2 numeric failure"
             in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--tol", "inf", "hilbert-eval", "--dist", "laplace", "--omega", "1"],
+    ["hilbert-eval", "--dist", "laplace", "--omega", "nan"],
+    ["hilbert-eval", "--dist", "uniform", "--omega=-inf"],
+    ["advantage-table", "--dist", "gamma", "--shape", "inf"],
+    ["advantage-table", "--dist", "laplace", "--scale", "inf"],
+])
+def test_non_finite_numbers_exit_one(capsys, argv):
+    assert main(argv) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data, where", [
+    (None, r"\$: expected an object"),
+    ([], r"\$: expected an object"),
+    ({"participants": ["a", "b"], "classes": 1,
+      "links": [{"from": "a", "to": "b", "class": 1, "directed": "yes"}]},
+     r"\$\.links\[0\]\.directed: expected bool"),
+    ({"participants": ["a", "b"], "classes": 1,
+      "links": [{"from": "a", "to": "b", "class": 1, "weight": True}]},
+     r"\$\.links\[0\]\.weight: expected float"),
+    ({"participants": ["a"], "classes": 1, "links": [],
+      "dist": ["laplace"]}, r"\$\.dist: expected an object"),
+    ({"participants": ["a"], "classes": 1, "links": [],
+      "dist": {"type": "laplace", "scale": "2"}},
+     r"\$\.dist\.scale: expected float"),
+    ({"participants": ["a"], "classes": 1, "links": [],
+      "convention": "bilateral"}, r"\$\.convention: expected an object"),
+    ({"participants": ["a"], "classes": 1, "links": [],
+      "convention": {"type": "custom", "sets": [["a", [0]]]}},
+     r"\$\.convention\.sets\[0\]: expected an object"),
+    ({"participants": ["a"], "classes": 1, "links": [],
+      "convention": {"type": "custom",
+                     "sets": [{"owner": "a", "links": ["0"]}]}},
+     r"\$\.convention\.sets\[0\]\.links: expected integer"),
+])
+def test_malformed_fields_raise_parse_errors(data, where):
+    from netexposure.io import parse_market_data
+
+    with pytest.raises(ParseError, match=where):
+        parse_market_data(data)
+
+
+def test_null_dist_parameter_takes_the_default():
+    from netexposure.io import parse_market_data
+
+    mf = parse_market_data({"participants": ["a"], "classes": 1,
+                            "links": [], "dist": {"type": "normal",
+                                                  "sigma": None}})
+    assert mf.dist == NormalSym(1.0)
+
+
+@pytest.mark.parametrize("content", [None, b"\xff\xfe{"])
+def test_unreadable_market_file_exits_one(tmp_path, capsys, content):
+    path = tmp_path / "market.json"
+    if content is None:
+        path.mkdir()  # a directory cannot be read as a file
+    else:
+        path.write_bytes(content)
+    assert main(["analyze", "--market", str(path)]) == 1
+    assert "cannot read" in capsys.readouterr().err
+
+
+def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
+    path = market_file(tmp_path, two_tier(True), Multilateral(1),
+                       NormalSym(1e300))
+    assert main(["analyze", "--market", str(path)]) == 2
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def test_float_underflow_is_a_numeric_failure(capsys):
+    assert main(["hilbert-eval", "--dist", "laplace", "--scale", "1e-300",
+                 "--omega", "1"]) == 2
+    assert "numeric failure" in capsys.readouterr().err

@@ -500,6 +500,24 @@ def test_cached_report_equals_uncached_sets(dist, convention):
             assert report.market_total_exact == sum(exact, Fraction(0))
 
 
+@pytest.mark.parametrize("convention", [Bilateral(), Multilateral(1)],
+                         ids=repr)
+def test_exact_total_equals_one_by_one_sum(convention):
+    # the total is summed once per signature; the sets' own exact values
+    # added one at a time must give the same Fraction
+    for m in CONFTEST_MARKETS + (complete_market(12, 3),):
+        report = expected_market(m, LaplaceSym(1.0), convention)
+        if any(e.exact is None for e in report.per_netting_set):
+            assert report.market_total_exact is None
+            continue
+        one_by_one = Fraction(0)
+        for e in report.per_netting_set:
+            one_by_one += e.exact
+        assert report.market_total_exact == one_by_one
+        assert report.market_total == pytest.approx(float(one_by_one),
+                                                    rel=1e-12)
+
+
 UNIFORM_EXACT = {(1, 1): Fraction(1, 6), (1, 2): Fraction(1, 24),
                  (2, 1): Fraction(13, 24), (1, 3): Fraction(1, 120),
                  (2, 2): Fraction(7, 30), (3, 1): Fraction(121, 120)}

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import netexposure.mc as mc
 from netexposure import (
     Bilateral,
     Gamma,
@@ -13,13 +14,16 @@ from netexposure import (
     Link,
     Market,
     Multilateral,
+    NormalSym,
     UniformSym,
     current_bilateral_risk,
     current_multilateral_risk,
     mc_expected_exposure,
     mc_market_totals,
 )
-from netexposure.mc import link_draw, market_total_samples
+from netexposure.charfn import sample
+from netexposure.market import netting_sets
+from netexposure.mc import _link_rng, link_draw, market_total_samples
 from conftest import path_market, triangle_directed, two_tier
 
 
@@ -49,6 +53,48 @@ def test_draws_are_order_independent():
                 for i in reversed(range(len(m.links)))][::-1]
     for a, b in zip(forward, backward):
         assert np.array_equal(a, b)
+
+
+def test_directed_laplace_draws_are_exponential_magnitudes():
+    m = triangle_directed()
+    n = 200_000
+    x = link_draw(m, LaplaceSym(2.0), 1, n, 5)
+    assert np.all(x >= 0)
+    assert abs(np.mean(x) - 2.0) < 4 * 2.0 / np.sqrt(n)
+
+
+@pytest.mark.parametrize("dist", [NormalSym(1.5), UniformSym(2.0)], ids=str)
+def test_normal_and_uniform_draws_keep_their_streams(dist):
+    n, seed = 1000, 19
+    for m, directed in ((triangle_directed(), True),
+                        (two_tier(False), False)):
+        for i in range(len(m.links)):
+            x = sample(dist, _link_rng(seed, i), size=n)
+            want = np.abs(x) if directed else x
+            assert np.array_equal(link_draw(m, dist, i, n, seed), want)
+
+
+@pytest.mark.parametrize("convention",
+                         [Bilateral(), Multilateral(1), Multilateral(2)],
+                         ids=str)
+def test_one_draw_per_set_member_and_per_link(monkeypatch, convention):
+    # every draw goes through the module binding: one per netting-set
+    # member for the per-set estimates, one per link for the totals
+    m = two_tier(True)
+    calls = []
+    real = mc.link_draw
+
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
+
+    monkeypatch.setattr(mc, "link_draw", counting)
+    mc_expected_exposure(m, convention, LaplaceSym(1.0), 100, 3)
+    ccp = convention.cls if isinstance(convention, Multilateral) else None
+    mc_market_totals(m, LaplaceSym(1.0), 100, 3, ccp_class=ccp)
+    members = sum(len(s.items) for sets in netting_sets(m, convention).values()
+                  for s in sets)
+    assert len(calls) == members + len(m.links)
 
 
 def test_single_undirected_laplace_link():
