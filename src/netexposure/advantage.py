@@ -19,7 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charfn import Distribution, LaplaceSym, NormalSym, charfn_of, cf_product
+from .charfn import (
+    Distribution,
+    LaplaceSym,
+    NormalSym,
+    UniformSym,
+    charfn_of,
+    cf_product,
+)
 from .exposure import (
     expected_bilateral_market,
     expected_multilateral_market,
@@ -77,7 +84,11 @@ def _pool_expected(dist: Distribution, m: int, tol: float) -> float:
 
 def _margins(n: int, k: int, dist: Distribution, tol: float):
     """(pooled side, bilateral-gain side) of the representative comparison;
-    exact Fractions for Laplace, floats otherwise."""
+    exact Fractions for Laplace, floats otherwise. E_M is proportional to
+    the law's scale and the comparison is not, so the uniform law is
+    compared at unit half width (as laplace_expected is at unit scale)."""
+    if isinstance(dist, UniformSym):
+        dist = UniformSym()
     if isinstance(dist, LaplaceSym):
         lhs = laplace_expected(n - 1)
         rhs = (n - 1) * (laplace_expected(k) - laplace_expected(k - 1))

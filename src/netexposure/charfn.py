@@ -59,6 +59,17 @@ class Distribution:
         raise NotImplementedError
 
 
+def _square(spec: "Distribution", x: float) -> float:
+    """x**2 for a scale parameter of ``spec``. The c.f.'s structure (the
+    normal variance, the Laplace poles and constant) needs it to be a
+    positive normal float."""
+    sq = x * x
+    if not 2.0 ** -1022 <= sq < math.inf:
+        raise MomentError(f"the variance of {spec!r} is outside the "
+                          "floating-point range")
+    return sq
+
+
 def _require_positive(**params: float) -> None:
     for name, value in params.items():
         if not 0 < value < math.inf:
@@ -312,13 +323,13 @@ def charfn_of(spec: Distribution) -> CharFn:
             return (1.0 / (1.0 + (b * t) ** 2)).astype(complex)
 
         rational = RationalForm(
-            constant=1.0 / b**2,
+            constant=1.0 / _square(spec, b),
             poles=(Pole(1j / b, 1), Pole(-1j / b, 1)),
         )
         return CharFn(fn=fn, rational=rational, even_real=True, mean=0.0,
                       dist=spec, label=f"laplace(b={b:g})")
     if isinstance(spec, NormalSym):
-        v = spec.sigma**2
+        v = _square(spec, spec.sigma)
 
         def fn(t):
             t = np.asarray(t, dtype=float)
@@ -596,18 +607,19 @@ def _laplace_sample(scale: float, rng: np.random.Generator,
 
     |X| of a Laplace(b) variable is Exp(b), so each draw costs one
     ziggurat exponential. Unsigned draws take one fair sign bit each from
-    the same generator's raw 64-bit words, set by XOR on the float's sign
-    bit (the top bit of its uint64 view on either byte order).
+    the same generator's raw 64-bit words (read as little-endian bytes,
+    so the stream is the same on either byte order) and are multiplied by
+    1 - 2 * bit, which flips only the sign. That factor is an int8 array:
+    a float64 one would cost as much again as the exponential draw.
     """
     x = rng.standard_exponential(1 if size is None else size)
     x *= scale if sign is None else sign * scale
     if sign is None:
-        n = x.size
-        words = rng.bit_generator.random_raw((n + 63) // 64)
+        flat = x.reshape(-1)
+        words = rng.bit_generator.random_raw((flat.size + 63) // 64)
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
-                             count=n, bitorder="little")
-        flat = x.reshape(-1).view(np.uint64)
-        flat ^= np.left_shift(bits, 63, dtype=np.uint64)
+                             count=flat.size, bitorder="little")
+        flat *= 1 - 2 * bits.view(np.int8)
     return x[0] if size is None else x
 
 

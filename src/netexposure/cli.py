@@ -228,9 +228,7 @@ def main(argv=None) -> int:
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
         return args.func(args)
-    except (ToleranceError, MomentError, ArithmeticError) as exc:
-        # ArithmeticError: law parameters so extreme that floats
-        # overflow or underflow to a division by zero
+    except (ToleranceError, MomentError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, MarketError, ValueError) as exc:

@@ -33,6 +33,7 @@ from .charfn import (
     neg_abs_cf,
     pos_abs_cf,
     _richardson_central,
+    _square,
 )
 from .transforms import hilbert, hilbert_deriv_at_zero
 from .market import (
@@ -203,7 +204,7 @@ def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
         return SetExposure(value=float(exact), method="closed-form",
                            error=0.0, exact=exact, **common)
     if balanced and plus == 0 and isinstance(dist, NormalSym):
-        variance = sym * dist.sigma**2
+        variance = sym * _square(dist, dist.sigma)
         value = 0.5 * math.sqrt(2.0 * variance / math.pi)
         return SetExposure(value=value, method="closed-form", error=0.0,
                            **common)

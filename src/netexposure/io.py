@@ -48,12 +48,17 @@ class MarketFile:
 _REQUIRED = object()
 
 
-def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``obj[key]`` checked against ``kind`` (bools are not numbers); an
-    absent or null key gives ``default`` when one is given."""
+def _object(obj, where: str) -> dict:
+    """``obj`` itself, which must be a JSON object."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, "
                          f"got {type(obj).__name__}")
+    return obj
+
+
+def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``obj[key]`` checked against ``kind`` (bools are not numbers); an
+    absent or null key gives ``default`` when one is given."""
     value = obj.get(key)
     if value is None and default is not _REQUIRED:
         return default
@@ -68,7 +73,7 @@ def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
 
 
 def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
-    kind = _need(obj, "type", str, where)
+    kind = _need(_object(obj, where), "type", str, where)
     try:
         if kind == "laplace":
             return LaplaceSym(scale=_need(obj, "scale", float, where, 1.0))
@@ -102,7 +107,7 @@ def dist_to_json(dist: Distribution) -> dict:
 
 
 def _convention_from_json(obj: dict, where: str) -> Convention:
-    kind = _need(obj, "type", str, where)
+    kind = _need(_object(obj, where), "type", str, where)
     if kind == "bilateral":
         return Bilateral()
     if kind == "multilateral":
@@ -114,7 +119,7 @@ def _convention_from_json(obj: dict, where: str) -> Convention:
         blocks = []
         for i, block in enumerate(sets):
             at = f"{where}.sets[{i}]"
-            owner = _need(block, "owner", str, at)
+            owner = _need(_object(block, at), "owner", str, at)
             links = _need(block, "links", list, at)
             if not all(isinstance(x, int) and not isinstance(x, bool)
                        for x in links):
@@ -138,15 +143,8 @@ def _convention_to_json(conv: Convention) -> dict:
 
 
 def _parse_link(obj, i: int) -> Link:
-    """One link object. A well-typed unweighted link takes the fast path;
-    anything else goes through ``_need``, which names the bad field."""
-    if type(obj) is dict:
-        source, target, cls = obj.get("from"), obj.get("to"), obj.get("class")
-        directed = obj.get("directed", False)
-        if (type(source) is str and type(target) is str and type(cls) is int
-                and type(directed) is bool and obj.get("weight") is None):
-            return Link(source, target, cls, directed)
     where = f"$.links[{i}]"
+    _object(obj, where)
     return Link(
         source=_need(obj, "from", str, where),
         target=_need(obj, "to", str, where),
@@ -158,7 +156,7 @@ def _parse_link(obj, i: int) -> Link:
 
 def parse_market_data(data: dict) -> MarketFile:
     """Build a validated market from decoded JSON."""
-    participants = _need(data, "participants", list, "$")
+    participants = _need(_object(data, "$"), "participants", list, "$")
     for i, p in enumerate(participants):
         if not isinstance(p, str):
             raise ParseError(f"$.participants[{i}]: expected str")

@@ -177,7 +177,9 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
     """Residue-calculus transform of a factored rational function.
 
     Requires every pole off the real axis and decay at infinity (numerator
-    degree strictly below denominator degree).
+    degree strictly below denominator degree). ToleranceError when the
+    residues leave the floating-point range (poles and constants of an
+    extreme scale raised to a high power).
     """
     form = f.rational
     if form is None:
@@ -188,11 +190,18 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
         if p.location.imag == 0:
             raise ValueError(f"pole on the real axis: {p.location}")
     total = 0j
-    for p in form.poles:
-        if p.location.imag > 0:
-            total += 2j * _upper_residue(form, p, omega)
-    # simple real pole at omega contributes i * Res = -i * f(omega)
-    total += -1j * complex(form(omega))
+    try:
+        for p in form.poles:
+            if p.location.imag > 0:
+                total += 2j * _upper_residue(form, p, omega)
+        # simple real pole at omega contributes i * Res = -i * f(omega)
+        with np.errstate(all="ignore"):
+            total += -1j * complex(form(omega))
+    except (ZeroDivisionError, OverflowError):
+        total = complex("nan")
+    if not np.isfinite(total):
+        raise ToleranceError("residue sum outside the floating-point range",
+                             math.inf, total)
     return total
 
 
@@ -218,6 +227,8 @@ _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(16)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(32)
 
 _PV_MAX_PANELS = 300_000
+# error per unit of integrated magnitude that rounding alone can leave
+_ROUNDING_FLOOR = 64 * _EPS
 _PV_TMAX = 1e13
 _PV_MESH_RATIO = 1.25
 _TAIL_POINTS = np.array([-1.4689, -1.2917, -1.131, -1.0,
@@ -253,7 +264,12 @@ def _panel_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray):
 def _adaptive(g: Callable, T: float, tol: float, scale: float):
     """scale * integral of g on [0, T] and its error estimate, refined
     until that is below tol/2: Gauss-Legendre 16/32 pairs (interior nodes
-    only) on a geometric mesh, bisecting the worst quarter each round."""
+    only) on a geometric mesh, bisecting the worst quarter each round.
+
+    ToleranceError once _PV_MAX_PANELS panels are spent, or as soon as
+    tol/2 is below the rounding floor of the integral's magnitude (a law
+    whose scale dwarfs the absolute tol), which no refinement can reach.
+    """
     edges = [0.0, 0.5]
     while edges[-1] < T:
         edges.append(min(edges[-1] * _PV_MESH_RATIO + 0.5, T))
@@ -263,11 +279,13 @@ def _adaptive(g: Callable, T: float, tol: float, scale: float):
 
     n_evaluated = lo.size
     while scale * errs.sum() > 0.5 * tol:
-        if n_evaluated > _PV_MAX_PANELS:
+        floor = _ROUNDING_FLOOR * scale * np.abs(vals).sum()
+        if n_evaluated > _PV_MAX_PANELS or floor > 0.5 * tol:
             achieved = scale * errs.sum()
             raise ToleranceError(
                 f"quadrature stalled at estimated error {achieved:.3e} "
-                f"(requested {tol:.3e})", achieved, scale * vals.sum())
+                f"(requested {tol:.3e}, rounding floor {floor:.3e})",
+                achieved, scale * vals.sum())
         k = max(1, lo.size // 4)
         thresh = np.partition(errs, -k)[-k]
         mask = errs >= thresh

@@ -11,6 +11,7 @@ from netexposure import (
     Link,
     Market,
     NormalSym,
+    UniformSym,
     ccp_advantage,
     complete_graph_advantage,
     laplace_expected,
@@ -107,6 +108,16 @@ def test_scale_invariance_of_the_decision():
             == complete_graph_advantage(n, k, LaplaceSym(3.0))
         assert complete_graph_advantage(n, k, NormalSym(1.0)) \
             == complete_graph_advantage(n, k, NormalSym(0.2))
+
+
+@pytest.mark.parametrize("half_width", [5e-324, 1e-300, 1e-3, 1e3, 1e12])
+def test_uniform_table_does_not_depend_on_the_half_width(half_width):
+    # E_M is proportional to the half width, and an absolute tol far above
+    # or below it must not decide the comparison
+    assert min_participants_table(UniformSym(half_width), 3) \
+        == min_participants_table(UniformSym(1.0), 3) == [2, 9, 12]
+    assert complete_graph_advantage(12, 3, UniformSym(half_width)) \
+        == complete_graph_advantage(12, 3, UniformSym(1.0))
 
 
 def test_advantage_requires_valid_sizes():

@@ -16,7 +16,12 @@ from netexposure import (
 )
 from netexposure.cli import main
 from netexposure.io import MarketFile, ParseError, write_market
-from conftest import illustrative_market, two_tier, two_vertex_market
+from conftest import (
+    illustrative_market,
+    triangle_directed,
+    two_tier,
+    two_vertex_market,
+)
 
 
 def market_file(tmp_path, market, convention=None, dist=None,
@@ -302,6 +307,8 @@ def test_non_finite_numbers_exit_one(capsys, argv):
 @pytest.mark.parametrize("data, where", [
     (None, r"\$: expected an object"),
     ([], r"\$: expected an object"),
+    ({"participants": ["a", "b"], "classes": 1, "links": [["a", "b", 1]]},
+     r"\$\.links\[0\]: expected an object"),
     ({"participants": ["a", "b"], "classes": 1,
       "links": [{"from": "a", "to": "b", "class": 1, "directed": "yes"}]},
      r"\$\.links\[0\]\.directed: expected bool"),
@@ -350,14 +357,56 @@ def test_unreadable_market_file_exits_one(tmp_path, capsys, content):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_float_overflow_is_a_numeric_failure(tmp_path, capsys):
-    path = market_file(tmp_path, two_tier(True), Multilateral(1),
-                       NormalSym(1e300))
+def test_advantage_table_at_a_tiny_half_width(capsys):
+    assert main(["advantage-table", "--dist", "uniform", "--kmax", "2"]) == 0
+    unit = capsys.readouterr().out
+    assert main(["advantage-table", "--dist", "uniform", "--half-width",
+                 "1e-300", "--kmax", "2"]) == 0
+    assert capsys.readouterr().out == unit
+
+
+@pytest.mark.parametrize("dist", [NormalSym(1e12), UniformSym(1e12),
+                                  UniformSym(1e150), UniformSym(1e300)])
+def test_scale_beyond_the_tolerance_stops_at_the_rounding_floor(
+        tmp_path, capsys, monkeypatch, dist):
+    # E|Y| is about the law's scale, so an absolute tol of 1e-7 is below
+    # its rounding error; the quadrature must say so, not refine for
+    # seconds up to its panel cap
+    import netexposure.transforms as tr
+
+    panels = []
+    integrals = tr._panel_integrals
+
+    def counting(g, lo, hi):
+        panels.append(lo.size)
+        return integrals(g, lo, hi)
+
+    monkeypatch.setattr(tr, "_panel_integrals", counting)
+    path = market_file(tmp_path, triangle_directed(), Multilateral(1), dist)
     assert main(["analyze", "--market", str(path)]) == 2
-    assert "numeric failure" in capsys.readouterr().err
+    assert "rounding floor" in capsys.readouterr().err
+    assert sum(panels) < 10_000
 
 
-def test_float_underflow_is_a_numeric_failure(capsys):
-    assert main(["hilbert-eval", "--dist", "laplace", "--scale", "1e-300",
-                 "--omega", "1"]) == 2
-    assert "numeric failure" in capsys.readouterr().err
+@pytest.mark.parametrize("market, convention, dist", [
+    (two_tier(True), Multilateral(1), NormalSym(1e300)),
+    # undirected normal sets take the closed form, not the c.f.
+    (two_tier(False), Bilateral(), NormalSym(1e160)),
+])
+def test_float_overflow_is_a_numeric_failure(tmp_path, capsys, market,
+                                             convention, dist):
+    path = market_file(tmp_path, market, convention, dist)
+    assert main(["analyze", "--market", str(path)]) == 2
+    assert ("numeric failure: the variance of NormalSym"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--scale", "1e-300"], "the variance of LaplaceSym"),
+    (["--scale", "1e150", "--power", "3"], "residue sum outside"),
+    (["--scale", "1e-150", "--power", "3"], "residue sum outside"),
+])
+def test_float_underflow_is_a_numeric_failure(capsys, argv, message):
+    assert main(["hilbert-eval", "--dist", "laplace", "--omega", "1"]
+                + argv) == 2
+    assert f"numeric failure: {message}" in capsys.readouterr().err
