@@ -35,6 +35,7 @@ from .exposure import (
     ExposureReport,
     SetExposure,
     eulerian_shortcut,
+    exact_exposure,
     expected_bilateral_market,
     expected_exposure,
     expected_market,

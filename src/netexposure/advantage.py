@@ -10,27 +10,21 @@ comparison
     E_{N-1}  <  (N-1) * (E_K - E_{K-1})
 
 where E_M is the expected exposure of a balanced M-link pool. For the
-Laplace law E_M is exactly rational, (M / 4^M) * C(2M, M), which makes the
-minimal-participants table bit-reproducible; the normal law reduces to the
-integer test 4K(N-1) < N^2.
+Laplace and uniform laws E_M is exactly rational (``exact_exposure``),
+which makes the minimal-participants table bit-reproducible; the normal
+law reduces to the integer test 4K(N-1) < N^2.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .charfn import (
-    Distribution,
-    LaplaceSym,
-    NormalSym,
-    UniformSym,
-    charfn_of,
-    cf_product,
-)
+from .charfn import Distribution, LaplaceSym, NormalSym
 from .exposure import (
+    exact_exposure,
     expected_bilateral_market,
     expected_multilateral_market,
 )
+# not called here; the benchmark's tracer (bench/spans.py) wraps this binding
 from .transforms import hilbert_deriv_at_zero
 from .market import Market
 
@@ -57,73 +51,38 @@ def laplace_expected(m: int) -> Fraction:
     """
     if m < 0:
         raise ValueError("pool size must be nonnegative")
-    if m == 0:
-        return Fraction(0)
-    return Fraction(m, 4**m) * math.comb(2 * m, m)
+    return exact_exposure(LaplaceSym(), 0, 0, m)
 
 
 def normal_complete_threshold(n: int, k: int) -> bool:
     """Exact integer form of the complete-graph criterion for normal
     positions: advantageous iff K < N^2 / (4(N-1))."""
-    if n < 3:
-        raise ValueError("the closed-form threshold needs at least "
-                         "3 participants")
-    if k < 1:
-        raise ValueError("need at least one derivative class")
-    return 4 * k * (n - 1) < n * n
+    return complete_graph_advantage(n, k, NormalSym())
 
 
-def _pool_expected(dist: Distribution, m: int, tol: float) -> float:
-    """Expected exposure of a balanced pool of m positions (numeric route
-    for laws without a special form)."""
-    if m == 0:
-        return 0.0
-    f = cf_product([charfn_of(dist)] * m)
-    return 0.5 * hilbert_deriv_at_zero(f, tol)
+def _clearing_gain(n: int, k: int, dist: Distribution) -> Fraction | int:
+    """(N-1) (E_K - E_{K-1}) - E_{N-1}, or N^2 - 4K(N-1) for the normal
+    law, as an exact number: positive when clearing helps, 0 on a tie."""
+    if isinstance(dist, NormalSym):
+        return n * n - 4 * k * (n - 1)
+    pooled, e_k, e_k1 = (exact_exposure(dist, 0, 0, m)
+                         for m in (n - 1, k, k - 1))
+    if pooled is None:
+        raise ValueError(f"the comparison needs a two-sided law, got {dist!r}")
+    return (n - 1) * (e_k - e_k1) - pooled
 
 
-def _margins(n: int, k: int, dist: Distribution, tol: float):
-    """(pooled side, bilateral-gain side) of the representative comparison;
-    exact Fractions for Laplace, floats otherwise. E_M is proportional to
-    the law's scale and the comparison is not, so the uniform law is
-    compared at unit half width (as laplace_expected is at unit scale)."""
-    if isinstance(dist, UniformSym):
-        dist = UniformSym()
-    if isinstance(dist, LaplaceSym):
-        lhs = laplace_expected(n - 1)
-        rhs = (n - 1) * (laplace_expected(k) - laplace_expected(k - 1))
-        return lhs, rhs
-    lhs = _pool_expected(dist, n - 1, tol)
-    rhs = (n - 1) * (_pool_expected(dist, k, tol)
-                     - _pool_expected(dist, k - 1, tol))
-    return lhs, rhs
-
-
-def complete_graph_advantage(n: int, k: int, dist: Distribution,
-                             tol: float = 1e-9) -> bool:
+def complete_graph_advantage(n: int, k: int, dist: Distribution) -> bool:
     """Strict advantageousness of clearing one of k classes on the
     complete graph with n participants."""
     if n < 3:
         raise ValueError("need at least 3 participants")
     if k < 1:
         raise ValueError("need at least one derivative class")
-    if isinstance(dist, NormalSym):
-        return normal_complete_threshold(n, k)
-    lhs, rhs = _margins(n, k, dist, tol)
-    return lhs < rhs
+    return _clearing_gain(n, k, dist) > 0
 
 
-def _at_least_as_good(n: int, k: int, dist: Distribution, tol: float) -> bool:
-    if isinstance(dist, NormalSym):
-        return 4 * k * (n - 1) <= n * n
-    lhs, rhs = _margins(n, k, dist, tol)
-    if isinstance(lhs, Fraction):
-        return lhs <= rhs
-    return lhs <= rhs + _TIE_REL_TOL * max(1.0, abs(rhs))
-
-
-def min_participants_table(dist: Distribution, k_max: int,
-                           tol: float = 1e-9) -> list[int]:
+def min_participants_table(dist: Distribution, k_max: int) -> list[int]:
     """Smallest market size making central clearing worthwhile, per class
     count 1..k_max.
 
@@ -137,7 +96,7 @@ def min_participants_table(dist: Distribution, k_max: int,
     n = 2
     for k in range(1, k_max + 1):
         # monotone in k, so resume the scan where the last class stopped
-        while not _at_least_as_good(n, k, dist, tol):
+        while _clearing_gain(n, k, dist) < 0:
             n += 1
             if n > _TABLE_N_CAP:
                 raise RuntimeError("no advantageous market size found "

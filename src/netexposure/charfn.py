@@ -642,6 +642,8 @@ def sample(spec: Distribution, rng: np.random.Generator,
     if isinstance(spec, NormalSym):
         x = rng.normal(0.0, spec.sigma, size)
     elif isinstance(spec, UniformSym):
+        if not 2.0 * spec.half_width < math.inf:
+            raise MomentError(f"the support of {spec!r} overflows a float")
         x = rng.uniform(-spec.half_width, spec.half_width, size)
     elif isinstance(spec, Gamma):
         x = rng.gamma(spec.shape, spec.scale, size)

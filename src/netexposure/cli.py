@@ -105,7 +105,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_advantage_table(args) -> int:
     dist = _dist_from_args(args)
-    table = min_participants_table(dist, args.kmax, tol=args.tol)
+    table = min_participants_table(dist, args.kmax)
     print("classes  minimal participants")
     for k, n in enumerate(table, start=1):
         print(f"{k:>7}  {n}")

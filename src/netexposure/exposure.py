@@ -11,11 +11,13 @@ the derivative form of the max-formula for the clipped variable's c.f.
 (the H(0) constant drops under differentiation, and E(Y) vanishes for
 balanced or undirected sets). The value depends only on the set's
 signature and the law, so a market evaluation computes each signature
-once. Laplace markets additionally admit an exact rational value per
-set, which is what makes whole-market regressions bit-reproducible.
+once. Laplace and uniform sets skip the transform: ``exact_exposure``
+gives their exact rational value, which is what makes whole-market
+regressions bit-reproducible.
 """
 
 import math
+import sys
 import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -27,7 +29,9 @@ from .charfn import (
     CharFn,
     Distribution,
     LaplaceSym,
+    MomentError,
     NormalSym,
+    UniformSym,
     charfn_of,
     cf_product,
     neg_abs_cf,
@@ -50,6 +54,7 @@ from .market import (
 __all__ = [
     "SetExposure",
     "ExposureReport",
+    "exact_exposure",
     "netting_set_cf",
     "exposure_cf",
     "expected_exposure",
@@ -71,7 +76,7 @@ class SetExposure:
     kind: str
     links: tuple[int, ...]
     value: float
-    method: str  # "closed-form" | "shortcut" | "numeric"
+    method: str  # "closed-form" (Laplace, uniform) | "shortcut" | "numeric"
     error: float
     exact: Fraction | None = None
 
@@ -93,6 +98,42 @@ class ExposureReport:
 def _signature(s: NettingSet) -> tuple[int, int, int]:
     signs = s.signs
     return signs.count(+1), signs.count(-1), signs.count(SIGN_SYMMETRIC)
+
+
+def exact_exposure(dist: Distribution, plus: int, minus: int,
+                   sym: int) -> Fraction | None:
+    """Exact E(max[Y; 0]) of a (claims, debts, undirected) signature, or
+    None for laws without one. Laplace, scale b: Y = G_a - G_c, sums of
+    a = plus + sym and c = minus + sym unit exponentials, and their
+    memoryless race gives b * sum_{j<a} C(c-1+j, j) (a-j) / 2^(c+j).
+    Uniform, half width h: Y/h = sum c_i U_i - (minus + sym) over unit
+    uniforms, c_i = 1 per directed and 2 per undirected link; the n-fold
+    finite difference of x_+^(n+1)/(n+1)! (Irwin-Hall, box spline) cancels
+    heavily, so it is summed in integers.
+    """
+    if isinstance(dist, LaplaceSym):
+        a, c = plus + sym, minus + sym
+        if c == 0:
+            return a * Fraction(dist.scale)
+        num = sum(math.comb(c - 1 + j, j) * (a - j) << (a - 1 - j)
+                  for j in range(a))
+        return Fraction(num, 1 << (a + c - 1)) * Fraction(dist.scale)
+    if isinstance(dist, UniformSym):
+        n, d = plus + minus + sym, -(minus + sym)
+        num = sum((-1) ** (n - j - k) * math.comb(plus + minus, j)
+                  * math.comb(sym, k) * (d + j + 2 * k) ** (n + 1)
+                  for j in range(plus + minus + 1) for k in range(sym + 1)
+                  if d + j + 2 * k > 0)
+        return (Fraction(num, math.factorial(n + 1) << sym)
+                * Fraction(dist.half_width))
+    return None
+
+
+def _finite(x: Fraction | float) -> float:
+    """An exact value or a float sum as a finite float."""
+    if not abs(x) <= sys.float_info.max:
+        raise MomentError("exposure outside the floating-point range")
+    return float(x)
 
 
 def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
@@ -152,11 +193,11 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
                       cache: dict | None = None) -> SetExposure:
     """Expected exposure of one netting set.
 
-    Closed forms where the structure allows: all-debt sets are worthless
-    claims (0), all-claim sets pay the full mean, balanced Laplace sets
-    have an exact rational value. Balanced or undirected sets otherwise
-    take the parity shortcut E = 1/2 E|Y|; everything else runs the
-    general two-term formula. The error is half the quadrature's error
+    Closed forms where the structure allows: every Laplace and uniform
+    set is exact (``exact_exposure``), all-debt sets are worthless claims
+    (0), all-claim sets pay the full mean. Balanced or undirected sets
+    otherwise take the parity shortcut E = 1/2 E|Y|; everything else runs
+    the general two-term formula. The error is half the quadrature's error
     estimate for E|Y|, and 0 for closed forms. ``cache`` maps signatures
     to results; share one only between calls with the same law and tol.
     """
@@ -184,25 +225,19 @@ def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
     plus, minus, sym = _signature(s)
+    exact = exact_exposure(dist, plus, minus, sym)
+    if exact is not None:
+        return SetExposure(value=_finite(exact), method="closed-form",
+                           error=0.0, exact=exact, **common)
     if sym == 0 and plus == 0:
         # every item is a debt: the net position is never positive
         return SetExposure(value=0.0, method="closed-form", error=0.0,
                            exact=Fraction(0), **common)
     if sym == 0 and minus == 0:
         # every item is a claim: the set pays its full mean
-        value = plus * dist.abs_mean
-        exact = None
-        if isinstance(dist, LaplaceSym):
-            exact = plus * Fraction(dist.scale)
-        return SetExposure(value=value, method="closed-form", error=0.0,
-                           exact=exact, **common)
+        return SetExposure(value=_finite(plus * dist.abs_mean),
+                           method="closed-form", error=0.0, **common)
     balanced = plus == minus
-    if balanced and isinstance(dist, LaplaceSym):
-        from .advantage import laplace_expected
-
-        exact = laplace_expected(sym + plus) * Fraction(dist.scale)
-        return SetExposure(value=float(exact), method="closed-form",
-                           error=0.0, exact=exact, **common)
     if balanced and plus == 0 and isinstance(dist, NormalSym):
         variance = sym * _square(dist, dist.sigma)
         value = 0.5 * math.sqrt(2.0 * variance / math.pi)
@@ -269,7 +304,7 @@ def _aggregate(m: Market, sets: dict[str, list[NettingSet]],
             if components_of is not None:
                 key = components_of(s)
                 components[key] = components.get(key, 0.0) + e.value
-    total = float(sum(e.value for e in per_set))
+    total = _finite(sum(e.value for e in per_set))
     exact = None
     if per_set and all(e.exact is not None for e in per_set):
         # cache hits share their signature's Fraction object: add each

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .charfn import Distribution, sample
+from .charfn import Distribution, MomentError, sample
 from .market import (
     Convention,
     Market,
@@ -45,8 +45,11 @@ class MCEstimate:
     stderr: float
 
     def z_score(self, reference: float) -> float:
-        if self.stderr == 0.0:
-            return 0.0 if self.estimate == reference else float("inf")
+        if self.stderr == 0.0 and self.estimate == reference:
+            return 0.0
+        if not 0.0 < self.stderr < np.inf:
+            raise MomentError("the Monte Carlo standard error is "
+                              f"{self.stderr:g}, so the z-score is undefined")
         return (self.estimate - reference) / self.stderr
 
 

@@ -18,6 +18,9 @@ from netexposure import (
     min_participants_table,
     normal_complete_threshold,
 )
+from netexposure.charfn import cf_product, charfn_of
+from netexposure.exposure import exact_exposure
+from netexposure.transforms import hilbert_deriv_at_zero
 from conftest import complete_market, triangle_directed, two_tier
 
 
@@ -93,12 +96,16 @@ def test_normal_route_matches_generic_threshold():
 
 
 def test_generic_pool_route_matches_closed_forms():
-    from netexposure.advantage import _pool_expected
+    def pool(dist, m):
+        f = cf_product([charfn_of(dist)] * m)
+        return 0.5 * hilbert_deriv_at_zero(f, 1e-9)
 
     for m in (1, 2, 5, 8):
-        assert _pool_expected(LaplaceSym(1.0), m, 1e-9) == pytest.approx(
-            float(laplace_expected(m)), abs=1e-9)
-        assert _pool_expected(NormalSym(1.0), m, 1e-9) == pytest.approx(
+        assert pool(LaplaceSym(1.0), m) == pytest.approx(
+            float(exact_exposure(LaplaceSym(1.0), 0, 0, m)), abs=1e-9)
+        assert pool(UniformSym(1.0), m) == pytest.approx(
+            float(exact_exposure(UniformSym(1.0), 0, 0, m)), abs=1e-9)
+        assert pool(NormalSym(1.0), m) == pytest.approx(
             0.5 * math.sqrt(2 * m / math.pi), abs=1e-12)
 
 

@@ -1,6 +1,7 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -11,12 +12,17 @@ from netexposure import (
     Multilateral,
     NormalSym,
     UniformSym,
+    hilbert_deriv_at_zero,
+    netting_set_cf,
+    netting_sets,
     parse_market,
     serialize_market,
 )
+from netexposure.transforms import ToleranceError
 from netexposure.cli import main
 from netexposure.io import MarketFile, ParseError, write_market
 from conftest import (
+    complete_market,
     illustrative_market,
     triangle_directed,
     two_tier,
@@ -382,9 +388,20 @@ def test_scale_beyond_the_tolerance_stops_at_the_rounding_floor(
         return integrals(g, lo, hi)
 
     monkeypatch.setattr(tr, "_panel_integrals", counting)
-    path = market_file(tmp_path, triangle_directed(), Multilateral(1), dist)
-    assert main(["analyze", "--market", str(path)]) == 2
-    assert "rounding floor" in capsys.readouterr().err
+    m = triangle_directed()
+    path = market_file(tmp_path, m, Multilateral(1), dist)
+    if isinstance(dist, NormalSym):
+        assert main(["analyze", "--market", str(path)]) == 2
+        assert "rounding floor" in capsys.readouterr().err
+    else:
+        # uniform sets are exact at any half width; the quadrature they
+        # no longer take still stops at its floor on the same c.f.
+        assert main(["analyze", "--market", str(path)]) == 0
+        total = 3 * Fraction(1, 6) * Fraction(dist.half_width)
+        assert f"(= {total})" in capsys.readouterr().out
+        s = netting_sets(m, Multilateral(1))[m.participants[0]][0]
+        with pytest.raises(ToleranceError, match="rounding floor"):
+            hilbert_deriv_at_zero(netting_set_cf(m, s, dist), 1e-7)
     assert sum(panels) < 10_000
 
 
@@ -410,3 +427,51 @@ def test_float_underflow_is_a_numeric_failure(capsys, argv, message):
     assert main(["hilbert-eval", "--dist", "laplace", "--omega", "1"]
                 + argv) == 2
     assert f"numeric failure: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("market, dist", [
+    (complete_market(10, 3), LaplaceSym(1.7e308)),
+    (triangle_directed(), LaplaceSym(1.7e308)),
+    (complete_market(10, 3), UniformSym(1.7e308)),
+], ids=["undirected-laplace", "directed-laplace", "uniform"])
+@pytest.mark.parametrize("command", [
+    ["analyze", "--convention", "bilateral"],
+    ["analyze", "--convention", "multilateral:1"],
+    ["compare-netting", "--class", "1"],
+], ids=" ".join)
+def test_exposure_beyond_the_float_range_is_a_numeric_failure(
+        tmp_path, capsys, market, dist, command):
+    # the exact values are finite Fractions, but a set value or the
+    # market total does not fit in a float
+    path = market_file(tmp_path, market, None, dist)
+    assert main(command[:1] + ["--market", str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("numeric failure: exposure outside the "
+                            "floating-point range\n")
+    assert "inf" not in captured.out
+
+
+@pytest.mark.parametrize("dist, message", [
+    # every squared draw underflows, so the sample shows no spread
+    (UniformSym(1e-300), "standard error is 0,"),
+    # every squared draw overflows
+    (LaplaceSym(1e300), "standard error is inf,"),
+    # the exact totals fit in a float, but the draws' range does not
+    (UniformSym(1.7e308), "overflows a float"),
+])
+def test_mc_check_beyond_the_float_range_is_a_numeric_failure(
+        tmp_path, capsys, dist, message):
+    path = market_file(tmp_path, triangle_directed(), None, dist)
+    assert main(["mc-check", "--market", str(path), "--samples", "50",
+                 "--convention", "multilateral:1"]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "max |z|" not in captured.out
+
+
+@pytest.mark.parametrize("dist", ["gamma", "exponential"])
+def test_advantage_table_needs_a_two_sided_law(capsys, dist):
+    assert main(["advantage-table", "--dist", dist, "--kmax", "3"]) == 1
+    captured = capsys.readouterr()
+    assert "needs a two-sided law" in captured.err
+    assert captured.out == ""

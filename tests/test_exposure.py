@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netexposure import (
     Bilateral,
@@ -19,6 +21,7 @@ from netexposure import (
     Gamma,
     enumerate_orientations,
     eulerian_shortcut,
+    exact_exposure,
     expected_bilateral_market,
     expected_exposure,
     expected_market,
@@ -29,6 +32,7 @@ from netexposure import (
     netting_sets,
 )
 from netexposure.exposure import expected_exposure_via_cf
+from netexposure.transforms import hilbert_deriv_at_zero
 from conftest import (
     complete_market,
     illustrative_market,
@@ -167,8 +171,9 @@ def test_three_element_laplace_set():
 def test_uniform_balanced_pair_is_one_sixth():
     m = hub_market(1, 1)
     e = expected_exposure(m, hub_set(m), UniformSym(1.0))
+    assert e.exact == Fraction(1, 6)
     assert e.value == pytest.approx(1.0 / 6.0, abs=1e-7)
-    assert e.method == "shortcut"
+    assert e.method == "closed-form"
 
 
 def test_all_debt_set_is_worthless():
@@ -527,10 +532,17 @@ UNIFORM_EXACT = {(1, 1): Fraction(1, 6), (1, 2): Fraction(1, 24),
 def test_uniform_sets_match_exact_rationals(tol):
     for (np_, nm), exact in UNIFORM_EXACT.items():
         m = hub_market(np_, nm)
-        e = expected_exposure(m, hub_set(m), UniformSym(1.0), tol)
-        assert e.method in ("shortcut", "numeric")
-        assert abs(e.value - exact) <= min(1e-9, e.error), (np_, nm)
-        assert 0 < e.error <= 0.5 * tol
+        s = hub_set(m)
+        e = expected_exposure(m, s, UniformSym(1.0), tol)
+        assert e.exact == exact and e.method == "closed-form", (np_, nm)
+        # the general two-term formula on the set's c.f. agrees within
+        # its own error bound
+        deriv, error = hilbert_deriv_at_zero(
+            netting_set_cf(m, s, UniformSym(1.0)), tol, with_error=True)
+        value = 0.5 * (np_ - nm) * UniformSym(1.0).abs_mean + 0.5 * deriv
+        err = 0.5 * error
+        assert abs(value - exact) <= min(1e-9, err), (np_, nm)
+        assert 0 < err <= 0.5 * tol
 
 
 def residue_tier_slope(f) -> float:
@@ -553,12 +565,50 @@ def test_laplace_sets_match_residue_tier():
                 m = hub_market(np_, nm, ns)
                 s = hub_set(m)
                 e = expected_exposure(m, s, LaplaceSym(1.0), 1e-9)
-                if e.method == "closed-form":
-                    continue
+                assert e.method == "closed-form" and e.error == 0.0
+                assert e.value == float(e.exact)
                 f = netting_set_cf(m, s, LaplaceSym(1.0))
                 want = 0.5 * (np_ - nm) + 0.5 * residue_tier_slope(f)
                 assert e.value == pytest.approx(want, abs=1e-9), (np_, nm, ns)
                 assert abs(e.value - want) <= e.error + 1e-12
+
+
+# (claims, debts, undirected) with a = claims + undirected <= 30 and
+# b = debts + undirected <= 30
+signatures = st.integers(0, 30).flatmap(lambda ns: st.tuples(
+    st.integers(0, 30 - ns), st.integers(0, 30 - ns), st.just(ns))).filter(
+    lambda sig: sum(sig) > 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sig=signatures, law=st.sampled_from([LaplaceSym(1.0),
+                                            UniformSym(1.0)]))
+def test_exact_exposure_matches_the_transform_routes(sig, law):
+    np_, nm, ns = sig
+    m = hub_market(np_, nm, ns)
+    s = hub_set(m)
+    exact = exact_exposure(law, np_, nm, ns)
+    assert expected_exposure(m, s, law).exact == exact
+    f = netting_set_cf(m, s, law)
+    if isinstance(law, LaplaceSym) and max(np_, nm) + ns <= 15:
+        # the residue-tier slope is a Richardson difference whose
+        # truncation error grows with the pole order (past 1e-9 at 16)
+        deriv = residue_tier_slope(f)
+    else:
+        deriv = hilbert_deriv_at_zero(f, 1e-9)
+    want = 0.5 * (np_ - nm) * law.abs_mean + 0.5 * deriv
+    assert abs(float(exact) - want) <= 1e-9
+
+
+@pytest.mark.parametrize("dist", [LaplaceSym(1.0), UniformSym(1.0)],
+                         ids=repr)
+def test_exact_exposure_against_mc(dist):
+    for sig in ((2, 1, 1), (1, 2, 2), (3, 0, 2), (0, 2, 3), (4, 2, 0)):
+        m = hub_market(*sig)
+        mc = mc_expected_exposure(m, Multilateral(1), dist, 400_000,
+                                  911)[("o", hub_set(m).link_indices)]
+        exact = float(exact_exposure(dist, *sig))
+        assert abs(exact - mc.estimate) < 4 * mc.stderr, sig
 
 
 def test_one_derivative_per_distinct_signature(monkeypatch):
@@ -573,13 +623,19 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
 
     monkeypatch.setattr(exposure, "hilbert_deriv_at_zero", counting)
     m = directed_complete_market(6, 3)
-    for dist in (NormalSym(1.0), UniformSym(1.0), LaplaceSym(1.0)):
-        for convention in (Bilateral(), Multilateral(1)):
+    for convention in (Bilateral(), Multilateral(1)):
+        calls.clear()
+        report = expected_market(m, NormalSym(1.0), convention)
+        sets = [s for v in m.participants
+                for s in netting_sets(m, convention).get(v, [])]
+        numeric = [signature(s)
+                   for s, e in zip(sets, report.per_netting_set)
+                   if e.method != "closed-form"]
+        assert len(calls) == len(set(numeric)) < len(numeric)
+        # every Laplace and uniform set is exact: no derivative at all
+        for dist in (UniformSym(1.0), LaplaceSym(1.0)):
             calls.clear()
             report = expected_market(m, dist, convention)
-            sets = [s for v in m.participants
-                    for s in netting_sets(m, convention).get(v, [])]
-            numeric = [signature(s)
-                       for s, e in zip(sets, report.per_netting_set)
-                       if e.method != "closed-form"]
-            assert len(calls) == len(set(numeric)) < len(numeric)
+            assert calls == []
+            assert all(e.method == "closed-form" and e.exact is not None
+                       for e in report.per_netting_set)

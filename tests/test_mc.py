@@ -12,6 +12,7 @@ from netexposure import (
     Gamma,
     LaplaceSym,
     Link,
+    MCEstimate,
     Market,
     Multilateral,
     NormalSym,
@@ -21,7 +22,7 @@ from netexposure import (
     mc_expected_exposure,
     mc_market_totals,
 )
-from netexposure.charfn import sample
+from netexposure.charfn import MomentError, sample
 from netexposure.market import netting_sets
 from netexposure.mc import _link_rng, link_draw, market_total_samples
 from conftest import path_market, triangle_directed, two_tier
@@ -189,3 +190,11 @@ def test_unknown_ccp_class_rejected():
     with pytest.raises(ValueError, match="unknown class"):
         mc_market_totals(triangle_directed(), LaplaceSym(1.0), 1000, 1,
                          ccp_class=7)
+
+
+def test_z_score_needs_a_spread():
+    # an all-debt set: no spread, and the analytic value is exactly hit
+    assert MCEstimate(0.0, 0.0).z_score(0.0) == 0.0
+    for stderr in (0.0, np.inf, np.nan):
+        with pytest.raises(MomentError, match="standard error is"):
+            MCEstimate(1e-301, stderr).z_score(0.0)
