@@ -150,6 +150,23 @@ def test_normal_table_first_cells():
     assert table == [2, 7, 11, 15, 19]
 
 
+FULL_TABLE_TAIL = list(range(14, 119, 4))  # k = 4..30 for Laplace
+
+
+@pytest.mark.parametrize("dist,head,shift", [
+    (LaplaceSym(1.0), [2, 6, 10], 0),
+    (LaplaceSym(2.5), [2, 6, 10], 0),
+    (UniformSym(1.0), [2, 9, 12], 2),
+    (UniformSym(0.3), [2, 9, 12], 2),
+    (NormalSym(1.0), [2, 7, 11], 1),
+])
+def test_full_tables_at_kmax_30(dist, head, shift):
+    # every row pinned whole: N = 4k + 2 (Laplace), 4k + 4 (uniform) and
+    # 4k + 3 (normal) from k = 4 on
+    expected = head + [n + shift for n in FULL_TABLE_TAIL]
+    assert min_participants_table(dist, 30) == expected
+
+
 def test_table_monotone_nondecreasing():
     for dist in (LaplaceSym(1.0), NormalSym(1.0)):
         table = min_participants_table(dist, 12)
