@@ -17,6 +17,7 @@ law reduces to the integer test 4K(N-1) < N^2.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, partial
 
 from .charfn import Distribution, LaplaceSym, NormalSym
 from .exposure import (
@@ -60,13 +61,14 @@ def normal_complete_threshold(n: int, k: int) -> bool:
     return complete_graph_advantage(n, k, NormalSym())
 
 
-def _clearing_gain(n: int, k: int, dist: Distribution) -> Fraction | int:
+def _clearing_gain(n: int, k: int, dist: Distribution,
+                   pool) -> Fraction | int:
     """(N-1) (E_K - E_{K-1}) - E_{N-1}, or N^2 - 4K(N-1) for the normal
-    law, as an exact number: positive when clearing helps, 0 on a tie."""
+    law, as an exact number: positive when clearing helps, 0 on a tie.
+    ``pool(M)`` is E_M."""
     if isinstance(dist, NormalSym):
         return n * n - 4 * k * (n - 1)
-    pooled, e_k, e_k1 = (exact_exposure(dist, 0, 0, m)
-                         for m in (n - 1, k, k - 1))
+    pooled, e_k, e_k1 = map(pool, (n - 1, k, k - 1))
     if pooled is None:
         raise ValueError(f"the comparison needs a two-sided law, got {dist!r}")
     return (n - 1) * (e_k - e_k1) - pooled
@@ -79,7 +81,8 @@ def complete_graph_advantage(n: int, k: int, dist: Distribution) -> bool:
         raise ValueError("need at least 3 participants")
     if k < 1:
         raise ValueError("need at least one derivative class")
-    return _clearing_gain(n, k, dist) > 0
+    pool = partial(exact_exposure, dist, 0, 0)
+    return _clearing_gain(n, k, dist, pool) > 0
 
 
 def min_participants_table(dist: Distribution, k_max: int) -> list[int]:
@@ -94,9 +97,10 @@ def min_participants_table(dist: Distribution, k_max: int) -> list[int]:
         raise ValueError(f"k_max must be in 1..{_TABLE_K_CAP}")
     table = []
     n = 2
+    pool = cache(partial(exact_exposure, dist, 0, 0))  # each E_M once
     for k in range(1, k_max + 1):
         # monotone in k, so resume the scan where the last class stopped
-        while _clearing_gain(n, k, dist) < 0:
+        while _clearing_gain(n, k, dist, pool) < 0:
             n += 1
             if n > _TABLE_N_CAP:
                 raise RuntimeError("no advantageous market size found "

@@ -117,32 +117,31 @@ def _cmd_mc_check(args) -> int:
     report = expected_market(market, dist, convention, tol=args.tol)
     estimates = mc_expected_exposure(market, convention, dist,
                                      args.samples, args.seed)
-    print(f"{'owner':<10} {'links':<14} {'analytic':>12} {'mc':>12} "
-          f"{'stderr':>10} {'z':>7}")
+    # printed once every z-score exists: a numeric failure prints nothing
+    lines = [f"{'owner':<10} {'links':<14} {'analytic':>12} {'mc':>12} "
+             f"{'stderr':>10} {'z':>7}"]
     worst = 0.0
     for e in report.per_netting_set:
         mc = estimates[(e.owner, e.links)]
         z = mc.z_score(e.value)
         worst = max(worst, abs(z))
         links = ",".join(str(i) for i in e.links)
-        print(f"{e.owner:<10} {links:<14} {e.value:>12.8f} "
-              f"{mc.estimate:>12.8f} {mc.stderr:>10.2e} {z:>7.2f}")
+        lines.append(f"{e.owner:<10} {links:<14} {e.value:>12.8f} "
+                     f"{mc.estimate:>12.8f} {mc.stderr:>10.2e} {z:>7.2f}")
     ccp = convention.cls if isinstance(convention, Multilateral) else None
     totals = mc_market_totals(market, dist, args.samples, args.seed,
                               ccp_class=ccp)
     if ccp is not None and totals.multilateral is not None:
-        z = totals.multilateral.z_score(report.market_total)
-        worst = max(worst, abs(z))
-        print(f"market total (pooled class {ccp}): analytic "
-              f"{report.market_total:.8f} mc {totals.multilateral.estimate:.8f} "
-              f"z {z:+.2f}")
+        label, mc = f"market total (pooled class {ccp})", totals.multilateral
     else:
-        z = totals.bilateral.z_score(report.market_total)
-        worst = max(worst, abs(z))
-        print(f"market total: analytic {report.market_total:.8f} "
-              f"mc {totals.bilateral.estimate:.8f} z {z:+.2f}")
-    print(f"max |z| = {worst:.2f} over {args.samples} samples "
-          f"(seed {args.seed})")
+        label, mc = "market total", totals.bilateral
+    z = mc.z_score(report.market_total)
+    worst = max(worst, abs(z))
+    lines.append(f"{label}: analytic {report.market_total:.8f} "
+                 f"mc {mc.estimate:.8f} z {z:+.2f}")
+    lines.append(f"max |z| = {worst:.2f} over {args.samples} samples "
+                 f"(seed {args.seed})")
+    print("\n".join(lines))
     return EXIT_OK
 
 

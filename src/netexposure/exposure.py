@@ -22,6 +22,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +69,7 @@ __all__ = [
 DEFAULT_TOL = 1e-7
 
 
-@dataclass(frozen=True)
-class SetExposure:
+class SetExposure(NamedTuple):
     """Expected exposure of one netting set, with method provenance."""
 
     owner: str
@@ -95,8 +95,7 @@ class ExposureReport:
         return self.per_participant.get(vertex, 0.0)
 
 
-def _signature(s: NettingSet) -> tuple[int, int, int]:
-    signs = s.signs
+def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
     return signs.count(+1), signs.count(-1), signs.count(SIGN_SYMMETRIC)
 
 
@@ -146,7 +145,7 @@ def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
     if not dist.two_sided:
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
-    plus, minus, sym = _signature(s)
+    plus, minus, sym = _signature(s.signs)
     if not s.items:
         warnings.warn(f"empty netting set for {s.owner!r}: exposure is 0",
                       stacklevel=2)
@@ -201,48 +200,43 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
     estimate for E|Y|, and 0 for closed forms. ``cache`` maps signatures
     to results; share one only between calls with the same law and tol.
     """
-    common = dict(owner=s.owner, kind=s.kind, links=s.link_indices)
-    if not s.items:
-        warnings.warn(f"empty netting set for {s.owner!r}: exposure is 0",
+    owner, items, kind = s
+    if not items:
+        warnings.warn(f"empty netting set for {owner!r}: exposure is 0",
                       stacklevel=2)
-        return SetExposure(value=0.0, method="closed-form", error=0.0,
-                           exact=Fraction(0), **common)
-    key = _signature(s)
-    hit = cache.get(key) if cache is not None else None
-    if hit is not None:
-        return SetExposure(value=hit.value, method=hit.method,
-                           error=hit.error, exact=hit.exact, **common)
-    e = _signature_exposure(m, s, dist, tol, common)
-    if cache is not None:
-        cache[key] = e
-    return e
+        return SetExposure(owner, kind, (), 0.0, "closed-form", 0.0,
+                           Fraction(0))
+    links, signs = zip(*items)
+    key = _signature(signs)
+    cache = {} if cache is None else cache
+    hit = cache.get(key)
+    if hit is None:
+        hit = cache[key] = _signature_exposure(m, s, dist, tol, key)
+    return SetExposure(owner, kind, links, *hit)
 
 
 def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
-                        tol: float, common: dict) -> SetExposure:
-    """Uncached exposure of a nonempty set."""
+                        tol: float, signature: tuple[int, int, int]
+                        ) -> tuple[float, str, float, Fraction | None]:
+    """Uncached (value, method, error, exact) of a nonempty set."""
     if not dist.two_sided:
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
-    plus, minus, sym = _signature(s)
+    plus, minus, sym = signature
     exact = exact_exposure(dist, plus, minus, sym)
     if exact is not None:
-        return SetExposure(value=_finite(exact), method="closed-form",
-                           error=0.0, exact=exact, **common)
+        return _finite(exact), "closed-form", 0.0, exact
     if sym == 0 and plus == 0:
         # every item is a debt: the net position is never positive
-        return SetExposure(value=0.0, method="closed-form", error=0.0,
-                           exact=Fraction(0), **common)
+        return 0.0, "closed-form", 0.0, Fraction(0)
     if sym == 0 and minus == 0:
         # every item is a claim: the set pays its full mean
-        return SetExposure(value=_finite(plus * dist.abs_mean),
-                           method="closed-form", error=0.0, **common)
+        return _finite(plus * dist.abs_mean), "closed-form", 0.0, None
     balanced = plus == minus
     if balanced and plus == 0 and isinstance(dist, NormalSym):
         variance = sym * _square(dist, dist.sigma)
-        value = 0.5 * math.sqrt(2.0 * variance / math.pi)
-        return SetExposure(value=value, method="closed-form", error=0.0,
-                           **common)
+        return 0.5 * math.sqrt(2.0 * variance / math.pi), "closed-form", \
+            0.0, None
 
     f = netting_set_cf(m, s, dist)
     deriv, error = hilbert_deriv_at_zero(f, tol, with_error=True)
@@ -252,8 +246,7 @@ def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
     else:
         value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * deriv
         method = "numeric"
-    return SetExposure(value=max(value, 0.0), method=method,
-                       error=0.5 * error, **common)
+    return max(value, 0.0), method, 0.5 * error, None
 
 
 def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
@@ -274,7 +267,7 @@ def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
     undirected sets (always symmetric). The transform of an even real
     function is odd, so its value at 0 contributes nothing.
     """
-    plus, minus, sym = _signature(s)
+    plus, minus, sym = _signature(s.signs)
     if not s.items:
         return None
     all_directed = sym == 0
@@ -291,33 +284,34 @@ def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
 
 def _aggregate(m: Market, sets: dict[str, list[NettingSet]],
                dist: Distribution, tol: float, convention: str,
-               components_of=None) -> ExposureReport:
+               components_of: dict[str, str]) -> ExposureReport:
+    """``components_of`` maps a set kind's prefix to its component."""
     per_set: list[SetExposure] = []
     per_participant = {v: 0.0 for v in m.participants}
     components: dict[str, float] = {}
+    pair_view: dict[tuple[str, str], float] = {}
     cache: dict = {}  # one market evaluation: one law, one tolerance
     for v in m.participants:
         for s in sets.get(v, []):
             e = expected_exposure(m, s, dist, tol, cache)
             per_set.append(e)
             per_participant[v] += e.value
-            if components_of is not None:
-                key = components_of(s)
+            prefix, _, peer = e.kind.partition(":")
+            if prefix in components_of:
+                key = components_of[prefix]
                 components[key] = components.get(key, 0.0) + e.value
+            if prefix == "bilateral":
+                key = (v, peer) if v < peer else (peer, v)
+                pair_view[key] = pair_view.get(key, 0.0) + e.value
     total = _finite(sum(e.value for e in per_set))
+    # cache hits share their signature's Fraction object: add each object
+    # once, times its count, instead of once per set
+    exacts = [e.exact for e in per_set]
+    counts = Counter(map(id, exacts))
     exact = None
-    if per_set and all(e.exact is not None for e in per_set):
-        # cache hits share their signature's Fraction object: add each
-        # object once, times its count, instead of once per set
-        counts = Counter(id(e.exact) for e in per_set)
-        values = {id(e.exact): e.exact for e in per_set}
+    if per_set and id(None) not in counts:
+        values = dict(zip(map(id, exacts), exacts))
         exact = sum((n * values[k] for k, n in counts.items()), Fraction(0))
-    pair_view: dict[tuple[str, str], float] = {}
-    for e in per_set:
-        if e.kind.startswith("bilateral:"):
-            peer = e.kind.split(":", 1)[1]
-            key = tuple(sorted((e.owner, peer)))
-            pair_view[key] = pair_view.get(key, 0.0) + e.value
     return ExposureReport(
         convention=convention,
         per_netting_set=tuple(per_set),
@@ -337,7 +331,7 @@ def expected_bilateral_market(m: Market, dist: Distribution,
     require_valid(m)
     sets = netting_sets(m, Bilateral())
     return _aggregate(m, sets, dist, tol, convention="bilateral",
-                      components_of=lambda s: "bilateral")
+                      components_of={"bilateral": "bilateral"})
 
 
 def expected_multilateral_market(m: Market, dist: Distribution,
@@ -348,14 +342,10 @@ def expected_multilateral_market(m: Market, dist: Distribution,
     report carries both components plus their sum."""
     require_valid(m)
     sets = netting_sets(m, Multilateral(ccp_class))
-
-    def component(s: NettingSet) -> str:
-        return "multilateral" if s.kind.startswith("multilateral:") \
-            else "bilateral_rest"
-
     report = _aggregate(m, sets, dist, tol,
                         convention=f"multilateral:{ccp_class}",
-                        components_of=component)
+                        components_of={"multilateral": "multilateral",
+                                       "bilateral": "bilateral_rest"})
     report.components.setdefault("multilateral", 0.0)
     report.components.setdefault("bilateral_rest", 0.0)
     return report
@@ -370,4 +360,5 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
     if isinstance(convention, Multilateral):
         return expected_multilateral_market(m, dist, convention.cls, tol)
     sets = netting_sets(m, convention)
-    return _aggregate(m, sets, dist, tol, convention="custom")
+    return _aggregate(m, sets, dist, tol, convention="custom",
+                      components_of={})

@@ -60,6 +60,8 @@ def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
     """``obj[key]`` checked against ``kind`` (bools are not numbers); an
     absent or null key gives ``default`` when one is given."""
     value = obj.get(key)
+    if type(value) is kind:
+        return value
     if value is None and default is not _REQUIRED:
         return default
     if key not in obj:

@@ -10,9 +10,11 @@ is read-only.
 """
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterator
+from operator import itemgetter
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "Link",
@@ -46,7 +48,7 @@ class MarketError(ValueError):
     """A market or partition failed validation."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Link:
     """One netted bilateral position within a derivative class.
 
@@ -117,8 +119,7 @@ class DegreeProfile:
         return self.in_degree - self.out_degree
 
 
-@dataclass(frozen=True)
-class NettingSet:
+class NettingSet(NamedTuple):
     """One block of a participant's netting partition.
 
     Items are (link index, sign) pairs with sign +1 when the owner is the
@@ -131,11 +132,11 @@ class NettingSet:
 
     @property
     def link_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.items)
+        return tuple(map(itemgetter(0), self.items))
 
     @property
     def signs(self) -> tuple[int, ...]:
-        return tuple(s for _, s in self.items)
+        return tuple(map(itemgetter(1), self.items))
 
 
 # Netting conventions ---------------------------------------------------------
@@ -176,6 +177,14 @@ def validate_market(m: Market) -> list[str]:
     known = set(m.participants)
     seen_pairs = set()
     for idx, a in enumerate(m.links):
+        u, w, cls = a.source, a.target, a.cls
+        key = (u, w, cls) if u < w else (w, u, cls)
+        duplicate = key in seen_pairs
+        seen_pairs.add(key)
+        if not (duplicate or u == w or u not in known or w not in known
+                or not 1 <= cls <= m.n_classes
+                or a.directed and not m.directed):
+            continue
         where = f"links[{idx}]"
         if a.source == a.target:
             errors.append(f"{where}: self-link at {a.source!r}")
@@ -185,11 +194,9 @@ def validate_market(m: Market) -> list[str]:
         if not 1 <= a.cls <= m.n_classes:
             errors.append(f"{where}: unknown class {a.cls} "
                           f"(market has {m.n_classes})")
-        key = (frozenset((a.source, a.target)), a.cls)
-        if key in seen_pairs:
+        if duplicate:
             errors.append(f"{where}: duplicate pair-class link "
                           f"{a.source}-{a.target} in class {a.cls}")
-        seen_pairs.add(key)
         if a.directed and not m.directed:
             errors.append(f"{where}: directed link in an undirected market")
     return errors
@@ -260,34 +267,41 @@ def _sign_for(a: Link, owner: str) -> int:
     return +1 if a.target == owner else -1
 
 
-def bilateral_partition(m: Market, skip_cls: int | None = None
-                        ) -> dict[str, list[NettingSet]]:
-    """Per vertex, one netting set per counterparty, pooling all classes
-    but ``skip_cls``."""
-    out: dict[str, list[NettingSet]] = {v: [] for v in m.participants}
-    for v in m.participants:
-        by_peer: dict[str, list[tuple[int, int]]] = {}
-        for i in m.incident_links(v):
-            a = m.links[i]
-            if a.cls != skip_cls:
-                by_peer.setdefault(a.other(v), []).append(
-                    (i, _sign_for(a, v)))
-        for peer, items in by_peer.items():
-            out[v].append(NettingSet(owner=v, items=tuple(items),
-                                     kind=f"bilateral:{peer}"))
-    return out
+def _partition(m: Market, pool: int | None) -> dict[str, list[NettingSet]]:
+    """Every vertex's netting sets from one pass over the links: its
+    class-``pool`` links form one pooled set, listed first, and its other
+    links one set per counterparty, peers in the order of their first
+    link. Items ascend by link index."""
+    if pool is not None and not 1 <= pool <= m.n_classes:
+        raise MarketError(f"unknown class {pool} (market has {m.n_classes})")
+    # the pool's key None comes first in every vertex's groups
+    groups = {v: defaultdict(list, {None: []}) for v in m.participants}
+    for i, a in enumerate(m.links):
+        u, w = a.source, a.target
+        sign = +1 if a.directed else SIGN_SYMMETRIC  # the target's sign
+        in_pool = a.cls == pool
+        if (g := groups.get(w)) is not None:
+            g[None if in_pool else u].append((i, sign))
+        if u != w and (g := groups.get(u)) is not None:
+            g[None if in_pool else w].append((i, -sign))
+    return {v: [NettingSet(v, tuple(items), f"bilateral:{peer}"
+                           if peer is not None else f"multilateral:{pool}")
+                for peer, items in g.items() if items]
+            for v, g in groups.items()}
+
+
+def bilateral_partition(m: Market) -> dict[str, list[NettingSet]]:
+    """Per vertex, one netting set per counterparty, pooling all classes."""
+    return _partition(m, None)
 
 
 def multilateral_partition(m: Market, cls: int) -> dict[str, NettingSet]:
     """Per vertex, the single netting set pooling its class-``cls`` links
     (empty for vertices absent from the class)."""
-    _class_links(m, cls)  # class existence check
-    out = {}
-    for v in m.participants:
-        items = tuple((i, _sign_for(m.links[i], v))
-                      for i in m.incident_links(v, cls))
-        out[v] = NettingSet(owner=v, items=items, kind=f"multilateral:{cls}")
-    return out
+    kind = f"multilateral:{cls}"
+    return {v: sets[0] if sets and sets[0].kind == kind
+            else NettingSet(v, (), kind)
+            for v, sets in _partition(m, cls).items()}
 
 
 def _validate_partition(m: Market, sets: dict[str, list[NettingSet]],
@@ -316,16 +330,9 @@ def netting_sets(m: Market, convention: Convention
     the owner's links.
     """
     if isinstance(convention, Bilateral):
-        return bilateral_partition(m)
+        return _partition(m, None)
     if isinstance(convention, Multilateral):
-        pooled = multilateral_partition(m, convention.cls)
-        rest = bilateral_partition(m, skip_cls=convention.cls)
-        out = {}
-        for v in m.participants:
-            sets = [pooled[v]] if pooled[v].items else []
-            sets.extend(rest[v])
-            out[v] = sets
-        return out
+        return _partition(m, convention.cls)
     if isinstance(convention, Custom):
         out = {v: [] for v in m.participants}
         incident = {v: set(m.incident_links(v)) for v in m.participants}

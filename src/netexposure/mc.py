@@ -14,6 +14,7 @@ undirected Laplace links add one fair sign bit per sample, taken from the
 same Philox stream (``charfn.sample``).
 """
 
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +60,20 @@ class MarketTotals:
     multilateral: MCEstimate | None = None
 
 
+_THREAD = threading.local()
+
+
 def _link_rng(seed: int, link_index: int) -> Generator:
-    key = np.array([seed % 2**64, link_index], dtype=np.uint64)
-    return Generator(Philox(key=key))
+    """This thread's generator in the state of a fresh
+    ``Philox(key=[seed % 2**64, link_index])``, without the entropy pool
+    that building one costs; valid until the thread's next call."""
+    if not hasattr(_THREAD, "rng"):
+        _THREAD.rng = Generator(Philox(0))
+    _THREAD.rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": (0,) * 4, "buffer_pos": 4,
+        "state": {"counter": (0,) * 4, "key": (seed % 2**64, link_index)},
+        "has_uint32": 0, "uinteger": 0}
+    return _THREAD.rng
 
 
 def link_draw(m: Market, dist: Distribution, link_index: int, n: int,

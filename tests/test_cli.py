@@ -24,6 +24,7 @@ from netexposure.io import MarketFile, ParseError, write_market
 from conftest import (
     complete_market,
     illustrative_market,
+    path_market,
     triangle_directed,
     two_tier,
     two_vertex_market,
@@ -466,7 +467,19 @@ def test_mc_check_beyond_the_float_range_is_a_numeric_failure(
                  "--convention", "multilateral:1"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
-    assert "max |z|" not in captured.out
+    assert captured.out == ""
+
+
+def test_mc_check_failure_on_a_later_set_prints_no_partial_table(
+        tmp_path, capsys):
+    # u's all-debt set passes with z = 0; v's claim then has a standard
+    # error of 0, because every squared draw underflows
+    path = market_file(tmp_path, path_market(), None, UniformSym(1e-300))
+    assert main(["mc-check", "--market", str(path), "--samples", "50",
+                 "--convention", "bilateral"]) == 2
+    captured = capsys.readouterr()
+    assert "standard error is 0," in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("dist", ["gamma", "exponential"])

@@ -5,7 +5,7 @@ They guard changes that must not move any printed number (performance
 work, refactors). When an output is meant to change, regenerate the files
 from the repository root and review the diff:
 
-    PYTHONPATH=src:tests python -c "import test_golden; test_golden.regenerate()"
+    PYTHONPATH=src:tests python -c "import test_golden as g; g.regenerate()"
 """
 
 import contextlib

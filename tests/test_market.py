@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from netexposure import (
     Bilateral,
     Custom,
+    LaplaceSym,
     Link,
     Market,
     MarketError,
@@ -20,6 +21,7 @@ from netexposure import (
     current_multilateral_risk,
     degree_profile,
     enumerate_orientations,
+    expected_exposure,
     is_eulerian,
     multilateral_partition,
     netting_sets,
@@ -78,6 +80,23 @@ def test_all_violations_reported_together():
                (Link("v", "v", 1, False), Link("v", "w", 9, False)))
     errors = validate_market(m)
     assert len(errors) == 2
+
+
+def test_violation_messages_in_link_order():
+    m = Market(("v", "w", "v"), 2,
+               (Link("v", "v", 1, True), Link("v", "x", 3, False),
+                Link("w", "v", 1, False), Link("v", "w", 1, False),
+                Link("y", "z", 2, False)))
+    assert validate_market(m) == [
+        "duplicate participant identifiers",
+        "links[0]: self-link at 'v'",
+        "links[0]: directed link in an undirected market",
+        "links[1]: unknown participant 'x'",
+        "links[1]: unknown class 3 (market has 2)",
+        "links[3]: duplicate pair-class link v-w in class 1",
+        "links[4]: unknown participant 'y'",
+        "links[4]: unknown participant 'z'",
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +354,76 @@ def test_partitions_match_scan_oracle(m, rng):
     for conv in conventions:
         # equal lists: set order and item order included
         assert netting_sets(m, conv) == scan_netting_sets(m, conv)
+
+
+def definition_partition(m, pool=None):
+    """Netting sets straight from the definitions: per owner, one pool of
+    its class-``pool`` links (first, when nonempty), then one block per
+    counterparty of its links in the other classes, blocks in the order
+    of their lowest link index; items ascend by link index."""
+    out = {}
+    for v in m.participants:
+        def item(i):
+            a = m.links[i]
+            return i, (0 if not a.directed else 1 if a.target == v else -1)
+
+        pooled = tuple(item(i) for i, a in enumerate(m.links)
+                       if a.cls == pool and v in (a.source, a.target))
+        blocks = []
+        for w in m.participants:
+            items = tuple(item(i) for i, a in enumerate(m.links)
+                          if a.cls != pool and w != v
+                          and {a.source, a.target} == {v, w})
+            if items:
+                blocks.append(NettingSet(v, items, f"bilateral:{w}"))
+        blocks.sort(key=lambda s: s.items[0][0])
+        out[v] = ([NettingSet(v, pooled, f"multilateral:{pool}")]
+                  if pooled else []) + blocks
+    return out
+
+
+@st.composite
+def shaped_markets(draw):
+    """Directed, undirected or mixed markets, some with isolated
+    participants, in random participant and link order."""
+    shape = draw(st.sampled_from(["directed", "undirected", "mixed",
+                                  "isolated"]))
+    n = draw(st.integers(2, 6))
+    k = draw(st.integers(1, 3))
+    parts = [f"p{i}" for i in range(n)]
+    linked = parts[:max(2, n - 2)] if shape == "isolated" else parts
+    links = []
+    for c in range(1, k + 1):
+        for i, u in enumerate(linked):
+            for w in linked[i + 1:]:
+                if draw(st.booleans()):
+                    directed = (shape == "directed" or shape == "mixed"
+                                and draw(st.booleans()))
+                    src, dst = (u, w) if draw(st.booleans()) else (w, u)
+                    links.append(Link(src, dst, c, directed))
+    links = draw(st.permutations(links))
+    return Market(tuple(draw(st.permutations(parts))), k, tuple(links),
+                  directed=any(a.directed for a in links))
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_markets())
+def test_partitions_match_their_definitions(m):
+    assert validate_market(m) == []
+    assert netting_sets(m, Bilateral()) == definition_partition(m)
+    for c in range(1, m.n_classes + 1):
+        assert netting_sets(m, Multilateral(c)) == definition_partition(m, c)
+
+
+def test_records_are_immutable():
+    m = triangle_directed()
+    s = netting_sets(m, Bilateral())["v1"][0]
+    e = expected_exposure(m, s, LaplaceSym(1.0))
+    for record, field in ((m.links[0], "cls"), (m, "n_classes"),
+                          (s, "owner"), (e, "value")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+    assert hash(m) == hash(triangle_directed())
 
 
 def test_incidence_lists_self_link_once():

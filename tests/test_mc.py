@@ -75,6 +75,23 @@ def test_normal_and_uniform_draws_keep_their_streams(dist):
             assert np.array_equal(link_draw(m, dist, i, n, seed), want)
 
 
+@pytest.mark.parametrize("seed", [0, 19, -7, 2**64 + 5, 3 * 2**70 - 1])
+def test_link_rng_matches_a_fresh_philox(seed):
+    for i in (0, 7):
+        # another link's stream left mid-buffer, with a spare 32-bit word
+        other = _link_rng(seed + 1, 99)
+        other.standard_normal(3)
+        other.random(3, dtype=np.float32)
+        got = _link_rng(seed, i)
+        key = np.array([seed % 2**64, i], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key))
+        assert str(got.bit_generator.state) == str(want.bit_generator.state)
+        for draw in (lambda g: g.standard_normal(33),
+                     lambda g: g.standard_exponential(33),
+                     lambda g: g.bit_generator.random_raw(9)):
+            assert np.array_equal(draw(got), draw(want))
+
+
 @pytest.mark.parametrize("convention",
                          [Bilateral(), Multilateral(1), Multilateral(2)],
                          ids=str)
