@@ -147,13 +147,10 @@ def _convention_to_json(conv: Convention) -> dict:
 def _parse_link(obj, i: int) -> Link:
     where = f"$.links[{i}]"
     _object(obj, where)
-    return Link(
-        source=_need(obj, "from", str, where),
-        target=_need(obj, "to", str, where),
-        cls=_need(obj, "class", int, where),
-        directed=_need(obj, "directed", bool, where, False),
-        weight=_need(obj, "weight", float, where, None),
-    )
+    return Link(_need(obj, "from", str, where), _need(obj, "to", str, where),
+                _need(obj, "class", int, where),
+                _need(obj, "directed", bool, where, False),
+                _need(obj, "weight", float, where, None))
 
 
 def parse_market_data(data: dict) -> MarketFile:
