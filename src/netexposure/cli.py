@@ -23,7 +23,7 @@ from .charfn import (
     pos_abs_cf,
 )
 from .exposure import expected_market
-from .transforms import ToleranceError, hilbert_eval
+from .transforms import ToleranceError, TruncationError, hilbert_eval
 from .io import ParseError, format_report, parse_market
 from .market import Bilateral, MarketError, Multilateral
 from .mc import mc_expected_exposure, mc_market_totals
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
         return args.func(args)
-    except (ToleranceError, MomentError) as exc:
+    except (ToleranceError, MomentError, TruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, MarketError, ValueError) as exc:

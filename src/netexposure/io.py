@@ -8,7 +8,9 @@ Parsing and serialisation round-trip on the canonical form.
 """
 
 import json
+import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .charfn import (
@@ -31,7 +33,7 @@ from .market import (
 
 __all__ = ["MarketFile", "ParseError", "parse_market", "parse_market_data",
            "serialize_market", "write_market", "dist_from_json",
-           "dist_to_json", "report_to_json", "format_report", "write_report"]
+           "dist_to_json", "format_report", "write_report"]
 
 
 class ParseError(ValueError):
@@ -216,37 +218,57 @@ def write_market(mf: MarketFile, path: str | Path) -> None:
     Path(path).write_text(json.dumps(serialize_market(mf), indent=2) + "\n")
 
 
-def report_to_json(report) -> dict:
-    """ExposureReport as a JSON-ready dict, method provenance included."""
-    return {
-        "convention": report.convention,
-        "market_total": report.market_total,
-        "market_total_exact": (str(report.market_total_exact)
-                               if report.market_total_exact is not None
-                               else None),
-        "per_participant": dict(sorted(report.per_participant.items())),
-        "components": report.components,
-        "pairs": {f"{a}~{b}": value
-                  for (a, b), value in sorted(report.pair_view.items())},
-        "netting_sets": [
-            {
-                "owner": e.owner,
-                "kind": e.kind,
-                "links": list(e.links),
-                "expected_exposure": e.value,
-                "method": e.method,
-                "error_estimate": e.error,
-                "exact": str(e.exact) if e.exact is not None else None,
-            }
-            for e in report.per_netting_set
-        ],
-    }
+def _scalar(x) -> str:
+    """``json.dumps(x, default=str)``; strs and finite floats go direct."""
+    if type(x) is str:
+        return encode_basestring_ascii(x)
+    if type(x) is float and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x, default=str)
+
+
+def _json_object(items) -> str:
+    """(str key, scalar) pairs as a JSON object nested one level."""
+    body = ",\n    ".join(f"{_scalar(k)}: {_scalar(v)}" for k, v in items)
+    return f"{{\n    {body}\n  }}" if body else "{}"
+
+
+def _with_values(sets, render):
+    """(set, ``render(set)``), rendered once per signature: its sets share
+    one cached tuple's objects, whose identity keeps 0.0 and -0.0 apart."""
+    done = {}
+    for e in sets:
+        key = id(e.value), id(e.method), id(e.error), id(e.exact)
+        if key not in done:
+            done[key] = render(e)
+        yield e, done[key]
 
 
 def format_report(report, fmt: str = "table") -> str:
-    """Render an ExposureReport as JSON or a human-readable table."""
+    """Render an ExposureReport as indent-2 JSON or a readable table."""
     if fmt == "json":
-        return json.dumps(report_to_json(report), indent=2)
+        blocks = []
+        for e, values in _with_values(report.per_netting_set, lambda e: (
+                f'      "expected_exposure": {_scalar(e.value)},\n'
+                f'      "method": {_scalar(e.method)},\n'
+                f'      "error_estimate": {_scalar(e.error)},\n'
+                f'      "exact": {_scalar(e.exact)}\n    }}')):
+            links = ",\n        ".join(map(str, e.links))
+            links = f"[\n        {links}\n      ]" if e.links else "[]"
+            blocks.append(f'\n    {{\n      "owner": {_scalar(e.owner)},\n'
+                          f'      "kind": {_scalar(e.kind)},\n'
+                          f'      "links": {links},\n{values}')
+        netting = f"[{','.join(blocks)}\n  ]" if blocks else "[]"
+        pairs = ((f"{a}~{b}", value)
+                 for (a, b), value in sorted(report.pair_view.items()))
+        return (f'{{\n  "convention": {_scalar(report.convention)},\n'
+                f'  "market_total": {_scalar(report.market_total)},\n'
+                f'  "market_total_exact": '
+                f'{_scalar(report.market_total_exact)},\n  "per_participant": '
+                f'{_json_object(sorted(report.per_participant.items()))},\n'
+                f'  "components": {_json_object(report.components.items())},\n'
+                f'  "pairs": {_json_object(pairs)},\n'
+                f'  "netting_sets": {netting}\n}}')
     if fmt != "table":
         raise ValueError(f"unknown report format {fmt!r}")
     lines = [f"convention: {report.convention}"]
@@ -254,10 +276,10 @@ def format_report(report, fmt: str = "table") -> str:
               f"{'exposure':>12} {'method':<12} {'error':>9}")
     lines.append(header)
     lines.append("-" * len(header))
-    for e in report.per_netting_set:
-        links = ",".join(str(i) for i in e.links)
-        lines.append(f"{e.owner:<10} {e.kind:<22} {links:<14} "
-                     f"{e.value:>12.8f} {e.method:<12} {e.error:>9.1e}")
+    for e, values in _with_values(report.per_netting_set, lambda e: (
+            f"{e.value:>12.8f} {e.method:<12} {e.error:>9.1e}")):
+        links = ",".join(map(str, e.links))
+        lines.append(f"{e.owner:<10} {e.kind:<22} {links:<14} {values}")
     lines.append("-" * len(header))
     for v, total in sorted(report.per_participant.items()):
         lines.append(f"{v:<10} total {total:.8f}")

@@ -92,10 +92,13 @@ def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
 
 
 def _estimate(values: np.ndarray) -> MCEstimate:
+    """Sample mean and standard error; overwrites ``values``."""
     n = values.size
-    est = float(np.mean(values))
-    se = float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(est, se)
+    mean = values.sum() / n
+    values -= mean
+    values *= values
+    se = float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    return MCEstimate(float(mean), se)
 
 
 def _set_samples(m: Market, s: NettingSet, dist: Distribution, n: int,

@@ -36,6 +36,7 @@ __all__ = [
     "hilbert_deriv_at_zero",
     "HilbertResult",
     "ToleranceError",
+    "TruncationError",
 ]
 
 
@@ -46,6 +47,10 @@ class ToleranceError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.value = value
+
+
+class TruncationError(ValueError):
+    """The integrand is still above its tail bound at ``_PV_TMAX``."""
 
 
 @dataclass(frozen=True)
@@ -245,8 +250,8 @@ def _truncate(fn: Callable, omega: float, T: float,
             return T, mag
         T *= 2.0
         if T > _PV_TMAX:
-            raise ValueError("function does not decay: the integral "
-                             "cannot be truncated")
+            raise TruncationError("function does not decay within the "
+                                  f"truncation limit _PV_TMAX = {_PV_TMAX:g}")
 
 
 def _panel_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray):

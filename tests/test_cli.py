@@ -430,6 +430,19 @@ def test_float_underflow_is_a_numeric_failure(capsys, argv, message):
     assert f"numeric failure: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--dist", "uniform", "--half-width", "1e-12"],
+    ["--dist", "laplace", "--scale", "1e-13", "--method", "pv"],
+], ids=["uniform", "laplace-pv"])
+def test_decay_beyond_the_truncation_limit_is_a_numeric_failure(capsys,
+                                                                argv):
+    # catalog c.f.s decay, but these only beyond _PV_TMAX
+    assert main(["hilbert-eval", "--omega", "0.5"] + argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numeric failure" in err and "_PV_TMAX = 1e+13" in err
+
+
 @pytest.mark.parametrize("market, dist", [
     (complete_market(10, 3), LaplaceSym(1.7e308)),
     (triangle_directed(), LaplaceSym(1.7e308)),

@@ -33,8 +33,18 @@ COMMANDS = {
     "mc-check": ("mc-check", "--convention", "multilateral:1",
                  "--samples", "2000", "--seed", "7"),
 }
+# the convention stored in the market file
+FILE_COMMANDS = {
+    "analyze-json": ("analyze", "--format", "json"),
+    "analyze-table": ("analyze",),
+}
 MARKETS = ("laplace-12", "normal-5", "triangle")
-CASES = [(market, name) for market in MARKETS for name in COMMANDS]
+# report edge cases: a custom convention (no components, no pairs),
+# participant ids that JSON escapes, an isolated participant
+EDGE_MARKETS = ("custom", "unicode", "isolated")
+CASES = ([(market, name) for market in MARKETS for name in COMMANDS]
+         + [(market, name) for market in EDGE_MARKETS
+            for name in FILE_COMMANDS])
 
 
 def _complete(rng: random.Random, n: int, k: int, directed: bool) -> list:
@@ -52,9 +62,14 @@ def _complete(rng: random.Random, n: int, k: int, directed: bool) -> list:
     return links
 
 
+def _link(a: str, b: str, cls: int, directed: bool) -> dict:
+    return {"from": a, "to": b, "class": cls, "directed": directed}
+
+
 def _markets() -> dict[str, dict]:
     rng = random.Random(20261018)
     tri = triangle_directed()
+    odd = ["Z\u00fcrich", "\u6771\u4eac", 'q"uote\\', "\U0001f642"]
     return {
         "laplace-12": {
             "participants": [f"p{i}" for i in range(12)], "classes": 3,
@@ -69,12 +84,39 @@ def _markets() -> dict[str, dict]:
             "links": [{"from": a.source, "to": a.target, "class": a.cls,
                        "directed": a.directed} for a in tri.links],
             "dist": {"type": "uniform", "half_width": 2.0}},
+        "custom": {
+            "participants": ["a", "b", "c", "d"], "classes": 2,
+            "links": [_link("a", "b", 1, True), _link("b", "c", 1, True),
+                      _link("c", "a", 2, False), _link("a", "d", 2, False),
+                      _link("d", "b", 1, True), _link("b", "c", 2, False)],
+            "convention": {"type": "custom", "sets": [
+                {"owner": "a", "links": [0, 2]}, {"owner": "a", "links": [3]},
+                {"owner": "b", "links": [0, 1]},
+                {"owner": "b", "links": [4, 5]},
+                {"owner": "c", "links": [1]}, {"owner": "c", "links": [2, 5]},
+                {"owner": "d", "links": [3, 4]}]},
+            "dist": {"type": "laplace", "scale": 0.5}},
+        "unicode": {
+            "participants": odd, "classes": 2,
+            "links": [_link(odd[0], odd[1], 1, True),
+                      _link(odd[1], odd[2], 1, True),
+                      _link(odd[3], odd[0], 1, True),
+                      _link(odd[0], odd[2], 2, False),
+                      _link(odd[1], odd[3], 2, False),
+                      _link(odd[2], odd[3], 2, False)],
+            "convention": {"type": "multilateral", "class": 2},
+            "dist": {"type": "laplace", "scale": 2.0}},
+        "isolated": {
+            "participants": ["p0", "p1", "p2", "hermit"], "classes": 1,
+            "links": [_link("p0", "p1", 1, True), _link("p1", "p2", 1, False),
+                      _link("p2", "p0", 1, True)],
+            "dist": {"type": "uniform", "half_width": 0.5}},
     }
 
 
 def render(market: str, name: str) -> str:
     """Stdout of one golden command; it must succeed silently."""
-    command, *options = COMMANDS[name]
+    command, *options = {**COMMANDS, **FILE_COMMANDS}[name]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, "--market", str(GOLDEN / f"{market}.json"),
@@ -90,10 +132,11 @@ def regenerate() -> None:
         (GOLDEN / f"{market}.json").write_text(json.dumps(data, indent=1)
                                                + "\n")
     for market, name in CASES:
-        (GOLDEN / f"{market}.{name}.out").write_text(render(market, name))
+        (GOLDEN / f"{market}.{name}.out").write_text(render(market, name),
+                                                     encoding="utf-8")
 
 
 @pytest.mark.parametrize("market,name", CASES)
 def test_cli_output_matches_golden(market, name):
-    expected = (GOLDEN / f"{market}.{name}.out").read_text()
+    expected = (GOLDEN / f"{market}.{name}.out").read_text(encoding="utf-8")
     assert render(market, name) == expected

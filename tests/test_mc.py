@@ -215,3 +215,15 @@ def test_z_score_needs_a_spread():
     for stderr in (0.0, np.inf, np.nan):
         with pytest.raises(MomentError, match="standard error is"):
             MCEstimate(1e-301, stderr).z_score(0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 8192, 100_003])
+def test_estimate_matches_the_numpy_reductions_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for values in (rng.laplace(size=n) * 7.0 + 0.3,
+                   np.maximum(rng.normal(size=n), 0.0)):
+        expected = (float(np.mean(values)),
+                    float(np.std(values, ddof=1) / np.sqrt(n)))
+        got = mc._estimate(values.copy())
+        assert [got.estimate.hex(), got.stderr.hex()] == [
+            x.hex() for x in expected]
