@@ -10,7 +10,7 @@ products, signed absolute values, and first-moment extraction.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -22,6 +22,7 @@ __all__ = [
     "UniformSym",
     "Gamma",
     "Exponential",
+    "LAWS",
     "Pole",
     "RationalForm",
     "SignedAbs",
@@ -47,7 +48,15 @@ class MomentError(ValueError):
 @dataclass(frozen=True)
 class Distribution:
     """Base class for catalog entries. ``two_sided`` laws are symmetric
-    about 0 with zero mean; one-sided laws have support in (0, inf)."""
+    about 0 with zero mean; one-sided laws have support in (0, inf). A
+    law's parameters are its dataclass fields, each positive and finite."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{f.name} must be positive and finite, "
+                                 f"got {value!r}")
 
     @property
     def two_sided(self) -> bool:
@@ -70,21 +79,11 @@ def _square(spec: "Distribution", x: float) -> float:
     return sq
 
 
-def _require_positive(**params: float) -> None:
-    for name, value in params.items():
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be positive and finite, "
-                             f"got {value!r}")
-
-
 @dataclass(frozen=True)
 class LaplaceSym(Distribution):
     """Symmetric Laplace law with density exp(-|x|/b) / (2b)."""
 
     scale: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(scale=self.scale)
 
     two_sided = property(lambda self: True)
     abs_mean = property(lambda self: self.scale)
@@ -96,9 +95,6 @@ class NormalSym(Distribution):
 
     sigma: float = 1.0
 
-    def __post_init__(self):
-        _require_positive(sigma=self.sigma)
-
     two_sided = property(lambda self: True)
     abs_mean = property(lambda self: self.sigma * math.sqrt(2.0 / math.pi))
 
@@ -108,9 +104,6 @@ class UniformSym(Distribution):
     """Uniform law on [-c, c]."""
 
     half_width: float = 1.0
-
-    def __post_init__(self):
-        _require_positive(half_width=self.half_width)
 
     two_sided = property(lambda self: True)
     abs_mean = property(lambda self: 0.5 * self.half_width)
@@ -123,9 +116,6 @@ class Gamma(Distribution):
     shape: float
     scale: float
 
-    def __post_init__(self):
-        _require_positive(shape=self.shape, scale=self.scale)
-
     two_sided = property(lambda self: False)
     abs_mean = property(lambda self: self.shape * self.scale)
 
@@ -137,11 +127,14 @@ class Exponential(Distribution):
 
     scale: float = 1.0
 
-    def __post_init__(self):
-        _require_positive(scale=self.scale)
-
     two_sided = property(lambda self: False)
     abs_mean = property(lambda self: self.scale)
+
+
+# The catalog by the name a market file's ``type`` and the CLI's ``--dist``
+# use; a law's fields name its JSON keys and CLI flags.
+LAWS = {"laplace": LaplaceSym, "normal": NormalSym, "uniform": UniformSym,
+        "gamma": Gamma, "exponential": Exponential}
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +363,9 @@ _CONST_ONE = CharFn(
 
 
 def _merge_rational(forms: Sequence[RationalForm]) -> RationalForm:
-    constant = complex(np.prod([f.constant for f in forms]))
+    # an overflowing constant is reported by the residue sum it feeds
+    with np.errstate(over="ignore"):
+        constant = complex(np.prod([f.constant for f in forms]))
     poles: dict[complex, int] = {}
     for f in forms:
         for p in f.poles:
@@ -393,7 +388,8 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
     Structure tags combine: rational forms merge pole multisets and
     multiply constants, Gaussian variances add, even-real parity and
     one-sidedness survive only if shared by every factor, and known means
-    add. The empty product is the constant 1.
+    add. A product of several factors is no catalog law, so it carries no
+    ``dist``. The empty product is the constant 1.
     """
     fs = list(factors)
     if not fs:
@@ -425,7 +421,6 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
     mean = None
     if all(f.mean is not None for f in fs):
         mean = float(sum(f.mean for f in fs))
-    dists = {f.dist for f in fs}
     return CharFn(
         fn=fn,
         rational=rational,
@@ -433,7 +428,6 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         side=side,
         even_real=all(f.even_real for f in fs),
         mean=mean,
-        dist=dists.pop() if len(dists) == 1 else None,
         label=" * ".join(f.label or "?" for f in fs),
     )
 

@@ -8,15 +8,12 @@ parsing problems, 2 on numeric failure.
 import argparse
 import math
 import sys
+from dataclasses import fields
 
 from .advantage import ccp_advantage, min_participants_table
 from .charfn import (
-    Exponential,
-    Gamma,
-    LaplaceSym,
+    LAWS,
     MomentError,
-    NormalSym,
-    UniformSym,
     charfn_of,
     cf_product,
     neg_abs_cf,
@@ -33,25 +30,13 @@ EXIT_INVALID = 1
 EXIT_NUMERIC = 2
 
 
-def _dist_from_args(args) -> object:
-    name = args.dist
-    if name == "laplace":
-        return LaplaceSym(scale=args.scale)
-    if name == "normal":
-        return NormalSym(sigma=args.sigma)
-    if name == "uniform":
-        return UniformSym(half_width=args.half_width)
-    if name == "gamma":
-        return Gamma(shape=args.shape, scale=args.scale)
-    if name == "exponential":
-        return Exponential(scale=args.scale)
-    raise ParseError(f"unknown distribution {name!r}")
+def _dist_from_args(args):
+    law = LAWS[args.dist]
+    return law(*(getattr(args, f.name) for f in fields(law)))
 
 
 def _add_dist_args(parser):
-    parser.add_argument("--dist", required=True,
-                        choices=["laplace", "normal", "uniform", "gamma",
-                                 "exponential"])
+    parser.add_argument("--dist", required=True, choices=list(LAWS))
     parser.add_argument("--scale", type=float, default=1.0,
                         help="scale parameter (laplace/gamma/exponential)")
     parser.add_argument("--sigma", type=float, default=1.0,
@@ -65,8 +50,12 @@ def _add_dist_args(parser):
 def _convention_from_arg(text: str):
     if text == "bilateral":
         return Bilateral()
-    if text.startswith("multilateral:"):
-        return Multilateral(cls=int(text.split(":", 1)[1]))
+    kind, _, cls = text.partition(":")
+    if kind == "multilateral":
+        try:
+            return Multilateral(cls=int(cls))
+        except ValueError:
+            pass
     raise ParseError(f"unknown convention {text!r} "
                      "(use bilateral or multilateral:<class>)")
 

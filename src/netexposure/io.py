@@ -9,18 +9,11 @@ Parsing and serialisation round-trip on the canonical form.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .charfn import (
-    Distribution,
-    Exponential,
-    Gamma,
-    LaplaceSym,
-    NormalSym,
-    UniformSym,
-)
+from .charfn import LAWS, Distribution
 from .market import (
     Bilateral,
     Convention,
@@ -47,9 +40,6 @@ class MarketFile:
     dist: Distribution | None
 
 
-_REQUIRED = object()
-
-
 def _object(obj, where: str) -> dict:
     """``obj`` itself, which must be a JSON object."""
     if not isinstance(obj, dict):
@@ -58,13 +48,13 @@ def _object(obj, where: str) -> dict:
     return obj
 
 
-def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
+def _need(obj: dict, key: str, kind, where: str, default=MISSING):
     """``obj[key]`` checked against ``kind`` (bools are not numbers); an
     absent or null key gives ``default`` when one is given."""
     value = obj.get(key)
     if type(value) is kind:
         return value
-    if value is None and default is not _REQUIRED:
+    if value is None and default is not MISSING:
         return default
     if key not in obj:
         raise ParseError(f"{where}.{key}: missing")
@@ -78,35 +68,21 @@ def _need(obj: dict, key: str, kind, where: str, default=_REQUIRED):
 
 def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
     kind = _need(_object(obj, where), "type", str, where)
+    law = LAWS.get(kind)
+    if law is None:
+        raise ParseError(f"{where}.type: unknown distribution {kind!r}")
+    params = [_need(obj, f.name, float, where, f.default)
+              for f in fields(law)]
     try:
-        if kind == "laplace":
-            return LaplaceSym(scale=_need(obj, "scale", float, where, 1.0))
-        if kind == "normal":
-            return NormalSym(sigma=_need(obj, "sigma", float, where, 1.0))
-        if kind == "uniform":
-            return UniformSym(
-                half_width=_need(obj, "half_width", float, where, 1.0))
-        if kind == "gamma":
-            return Gamma(shape=_need(obj, "shape", float, where),
-                         scale=_need(obj, "scale", float, where))
-        if kind == "exponential":
-            return Exponential(scale=_need(obj, "scale", float, where, 1.0))
+        return law(*params)
     except ValueError as exc:
         raise ParseError(f"{where}: {exc}") from exc
-    raise ParseError(f"{where}.type: unknown distribution {kind!r}")
 
 
 def dist_to_json(dist: Distribution) -> dict:
-    if isinstance(dist, LaplaceSym):
-        return {"type": "laplace", "scale": dist.scale}
-    if isinstance(dist, NormalSym):
-        return {"type": "normal", "sigma": dist.sigma}
-    if isinstance(dist, UniformSym):
-        return {"type": "uniform", "half_width": dist.half_width}
-    if isinstance(dist, Gamma):
-        return {"type": "gamma", "shape": dist.shape, "scale": dist.scale}
-    if isinstance(dist, Exponential):
-        return {"type": "exponential", "scale": dist.scale}
+    for name, law in LAWS.items():
+        if type(dist) is law:
+            return {"type": name, **asdict(dist)}
     raise TypeError(f"unknown distribution spec: {dist!r}")
 
 

@@ -94,10 +94,13 @@ def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
 def _estimate(values: np.ndarray) -> MCEstimate:
     """Sample mean and standard error; overwrites ``values``."""
     n = values.size
-    mean = values.sum() / n
-    values -= mean
-    values *= values
-    se = float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
+    # an overflow gives an infinite stderr, which z_score reports
+    with np.errstate(over="ignore"):
+        mean = values.sum() / n
+        values -= mean
+        values *= values
+        se = (float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1
+              else 0.0)
     return MCEstimate(float(mean), se)
 
 

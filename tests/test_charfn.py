@@ -189,6 +189,19 @@ def test_one_sidedness_preserved_only_same_side():
     assert cf_product([pos, neg]).side is None
 
 
+@pytest.mark.parametrize("spec, mean", [
+    # E|X1 + X2|: the sum's density is (1 + |x|) e^-|x| / 4
+    (LaplaceSym(1.0), 1.5),
+    (NormalSym(1.0), 2.0 / math.sqrt(math.pi)),
+    # the sum is triangular on [-2, 2]
+    (UniformSym(1.0), 2.0 / 3.0),
+], ids=str)
+def test_product_of_laws_is_no_catalog_law(spec, mean):
+    f = cf_product([charfn_of(spec)] * 2)
+    assert f.dist is None
+    assert pos_abs_cf(f).mean == pytest.approx(mean, abs=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # Signed absolute values
 # ---------------------------------------------------------------------------

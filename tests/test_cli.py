@@ -1,6 +1,7 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
 import json
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -480,6 +481,39 @@ def test_mc_check_beyond_the_float_range_is_a_numeric_failure(
                  "--convention", "multilateral:1"]) == 2
     captured = capsys.readouterr()
     assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["hilbert-eval", "--dist", "laplace", "--scale", "1e-150", "--power",
+      "3", "--omega", "1"], "residue sum outside the floating-point range"),
+    (["mc-check", "--samples", "50", "--convention", "multilateral:1"],
+     "the Monte Carlo standard error is inf, so the z-score is undefined"),
+], ids=["residue", "mc-stderr"])
+def test_float_overflow_prints_only_the_reason(tmp_path, capsys, argv,
+                                               reason):
+    if argv[0] == "mc-check":
+        path = market_file(tmp_path, triangle_directed(), None,
+                           LaplaceSym(1e300))
+        argv = argv + ["--market", str(path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err == f"numeric failure: {reason}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("convention", ["multilateral:x", "multilateral:",
+                                        "multilateral:1:2", "multilateral"])
+def test_malformed_convention_exits_one(tmp_path, capsys, convention):
+    path = market_file(tmp_path, triangle_directed(), None, LaplaceSym())
+    assert main(["analyze", "--market", str(path), "--convention",
+                 convention]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: unknown convention {convention!r} "
+                            "(use bilateral or multilateral:<class>)\n")
     assert captured.out == ""
 
 
