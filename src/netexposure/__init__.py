@@ -22,7 +22,6 @@ from .charfn import (
     Gamma,
     LaplaceSym,
     NormalSym,
-    SignedAbs,
     UniformSym,
     cf_mean,
     cf_product,

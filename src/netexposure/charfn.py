@@ -11,6 +11,7 @@ products, signed absolute values, and first-moment extraction.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "LAWS",
     "Pole",
     "RationalForm",
-    "SignedAbs",
     "CharFn",
     "charfn_of",
     "cf_product",
@@ -289,22 +289,12 @@ def _gamma_cf(shape: float, scale: float, label: str,
     )
 
 
-def _uniform_pos_abs_fn(c: float):
-    re = _sinc_even(c)
-    im = _sinc_hilbert(c)
-
-    def fn(t):
-        return re(t) + 1j * im(t)
-
-    return fn
-
-
 def charfn_of(spec: Distribution) -> CharFn:
     """Characteristic function of a catalog law, with structure tags.
 
     Laplace gives a rational function with the exact pole pair +-i/b;
-    the normal law is tagged by its variance so transforms can use the
-    Dawson closed form; gamma laws are one-sided (rational when the shape
+    the normal law is tagged by its variance and carries its Dawson
+    closed-form transform; gamma laws are one-sided (rational when the shape
     is an integer); the symmetric uniform is even-real with a known
     closed-form transform of its sinc shape.
     """
@@ -322,6 +312,8 @@ def charfn_of(spec: Distribution) -> CharFn:
         return CharFn(fn=fn, rational=rational, even_real=True, mean=0.0,
                       dist=spec, label=f"laplace(b={b:g})")
     if isinstance(spec, NormalSym):
+        from .transforms import hilbert_gaussian  # transforms imports charfn
+
         v = _square(spec, spec.sigma)
 
         def fn(t):
@@ -329,7 +321,9 @@ def charfn_of(spec: Distribution) -> CharFn:
             return np.exp(-0.5 * v * t * t).astype(complex)
 
         return CharFn(fn=fn, gaussian_variance=v, even_real=True, mean=0.0,
-                      dist=spec, label=f"normal(sigma={spec.sigma:g})")
+                      dist=spec,
+                      hilbert_closed_form=partial(hilbert_gaussian, v),
+                      label=f"normal(sigma={spec.sigma:g})")
     if isinstance(spec, UniformSym):
         c = spec.half_width
         return CharFn(
@@ -455,57 +449,32 @@ def pos_abs_cf(base: CharFn) -> CharFn:
     """C.f. of the positive absolute value |X| of a symmetric variable.
 
     The result is the analytic signal of the input: the real part equals
-    the input and the imaginary part is its Hilbert transform. Catalog
-    laws get exact closed forms (Laplace -> exponential, normal -> Dawson
-    imaginary part, uniform -> one-sided uniform); a one-sided input is
-    returned unchanged.
+    the input and the imaginary part is its Hilbert transform, the law's
+    closed form when it has one (Dawson for the normal law, (1 - cos cw)
+    / (cw) for the uniform) and quadrature otherwise. Laplace inputs give
+    the exponential law instead, whose rational form the residue tier
+    uses; a one-sided input is returned unchanged.
     """
     if base.side == +1:
         return base
     if not base.even_real:
         raise ValueError("positive absolute value needs a real, even c.f. "
                          "(symmetric distribution) or a one-sided one")
-
+    label = f"pos_abs({base.label})"
     if isinstance(base.dist, LaplaceSym):
-        return _gamma_cf(1.0, base.dist.scale,
-                         f"pos_abs({base.label})", base.dist)
-    if isinstance(base.dist, NormalSym):
-        from .transforms import dawson  # deferred: transforms imports charfn
+        return _gamma_cf(1.0, base.dist.scale, label, base.dist)
 
-        v = base.dist.sigma**2
-        scale = math.sqrt(0.5 * v)
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            re = np.exp(-0.5 * v * t * t)
-            im = (2.0 / math.sqrt(math.pi)) * dawson(scale * t)
-            return re + 1j * im
-
-        return CharFn(fn=fn, side=+1, mean=base.dist.abs_mean,
-                      dist=base.dist, label=f"pos_abs({base.label})")
-    if isinstance(base.dist, UniformSym):
-        return CharFn(fn=_uniform_pos_abs_fn(base.dist.half_width), side=+1,
-                      mean=base.dist.abs_mean, dist=base.dist,
-                      label=f"pos_abs({base.label})")
-
-    # Generic even-real input: imaginary part through the transform engine.
-    from .transforms import hilbert, hilbert_deriv_at_zero
+    from .transforms import _hilbert_fn, hilbert_deriv_at_zero
 
     inner = base.fn
-    closed = base.hilbert_closed_form
+    transform = _hilbert_fn(base)
 
-    if closed is not None:
-        def fn(t):
-            return inner(t) + 1j * np.asarray(closed(t), dtype=float)
-    else:
-        def fn(t):
-            ts = np.atleast_1d(np.asarray(t, dtype=float))
-            im = np.array([hilbert(base, float(w)).real for w in ts])
-            out = inner(ts) + 1j * im
-            return out if np.shape(t) else out[0]
+    def fn(t):
+        return inner(t) + 1j * np.real(transform(t))
 
-    return CharFn(fn=fn, side=+1, mean=hilbert_deriv_at_zero(base),
-                  dist=base.dist, label=f"pos_abs({base.label})")
+    mean = (base.dist.abs_mean if base.dist is not None
+            else hilbert_deriv_at_zero(base))
+    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist, label=label)
 
 
 def neg_abs_cf(base: CharFn) -> CharFn:
@@ -516,40 +485,6 @@ def neg_abs_cf(base: CharFn) -> CharFn:
     if base.side == +1:
         return _conjugate_cf(base)
     return _conjugate_cf(pos_abs_cf(base))
-
-
-@dataclass(frozen=True)
-class SignedAbs:
-    """A directed position: sign * |X| for a symmetric law X.
-
-    Sign +1 is the creditor view (support on the positive half-line),
-    -1 the debtor view.
-    """
-
-    base: Distribution
-    sign: int
-
-    def __post_init__(self):
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign!r}")
-        if not self.base.two_sided:
-            raise ValueError("signed absolute values need a two-sided "
-                             f"symmetric base, got {self.base!r}")
-
-    @property
-    def mean(self) -> float:
-        return self.sign * self.base.abs_mean
-
-    def char_fn(self) -> CharFn:
-        return signed_abs_cf(self.base, self.sign)
-
-
-def signed_abs_cf(spec: Distribution, sign: int) -> CharFn:
-    """C.f. of sign * |X| for a catalog law (the per-link building block)."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    f = charfn_of(spec)
-    return pos_abs_cf(f) if sign == +1 else neg_abs_cf(f)
 
 
 # ---------------------------------------------------------------------------

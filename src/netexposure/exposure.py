@@ -24,8 +24,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .charfn import (
     CharFn,
     Distribution,
@@ -40,7 +38,7 @@ from .charfn import (
     _richardson_central,
     _square,
 )
-from .transforms import hilbert, hilbert_deriv_at_zero
+from .transforms import _hilbert_fn, hilbert_deriv_at_zero
 from .market import (
     Bilateral,
     Convention,
@@ -90,9 +88,6 @@ class ExposureReport:
     market_total_exact: Fraction | None
     components: dict[str, float]
     pair_view: dict[tuple[str, str], float]
-
-    def participant_total(self, vertex: str) -> float:
-        return self.per_participant.get(vertex, 0.0)
 
 
 def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
@@ -168,21 +163,12 @@ def exposure_cf(f: CharFn, tol: float = 1e-8) -> CharFn:
 
         1/2 [1 + phi(t)] + i/2 [H{phi}(t) - H{phi}(0)].
     """
-    if f.hilbert_closed_form is not None:
-        def transform(w):
-            return complex(f.hilbert_closed_form(w))
-    else:
-        def transform(w):
-            return hilbert(f, w, tol)
-
-    h0 = 0j if f.even_real else transform(0.0)
+    transform = _hilbert_fn(f, tol)
+    h0 = 0j if f.even_real else complex(transform(0.0))
     inner = f.fn
 
     def fn(t):
-        ts = np.atleast_1d(np.asarray(t, dtype=float))
-        h = np.array([transform(float(w)) for w in ts])
-        out = 0.5 * (1.0 + inner(ts)) + 0.5j * (h - h0)
-        return out if np.shape(t) else out[0]
+        return 0.5 * (1.0 + inner(t)) + 0.5j * (transform(t) - h0)
 
     return CharFn(fn=fn, label=f"max[{f.label or 'Y'}; 0]")
 

@@ -71,6 +71,11 @@ def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
     law = LAWS.get(kind)
     if law is None:
         raise ParseError(f"{where}.type: unknown distribution {kind!r}")
+    names = [f.name for f in fields(law)]
+    for key in obj:
+        if key != "type" and key not in names:
+            raise ParseError(f"{where}.{key}: unknown parameter of {kind} "
+                             f"({', '.join(names)})")
     params = [_need(obj, f.name, float, where, f.default)
               for f in fields(law)]
     try:

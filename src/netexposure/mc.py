@@ -91,16 +91,16 @@ def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
     return sample(dist, _link_rng(seed, link_index), sign=sign, size=n)
 
 
+# Draws of an extreme law scale overflow and their sums turn invalid; the
+# non-finite estimate or standard error is reported by ``z_score``.
+@np.errstate(over="ignore", invalid="ignore")
 def _estimate(values: np.ndarray) -> MCEstimate:
     """Sample mean and standard error; overwrites ``values``."""
     n = values.size
-    # an overflow gives an infinite stderr, which z_score reports
-    with np.errstate(over="ignore"):
-        mean = values.sum() / n
-        values -= mean
-        values *= values
-        se = (float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1
-              else 0.0)
+    mean = values.sum() / n
+    values -= mean
+    values *= values
+    se = float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
     return MCEstimate(float(mean), se)
 
 
@@ -118,6 +118,7 @@ def _set_samples(m: Market, s: NettingSet, dist: Distribution, n: int,
     return total
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_expected_exposure(m: Market, convention: Convention,
                          dist: Distribution, n: int, seed: int
                          ) -> dict[tuple[str, tuple[int, ...]], MCEstimate]:
@@ -136,6 +137,7 @@ def mc_expected_exposure(m: Market, convention: Convention,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
                          ccp_class: int | None = None
                          ) -> tuple[np.ndarray, np.ndarray | None]:

@@ -114,12 +114,13 @@ def dawson(x):
     return out[0] if scalar else out
 
 
-def hilbert_gaussian(variance: float, omega: float) -> float:
-    """Transform of exp(-v t^2 / 2): (2/sqrt(pi)) * F(w * sqrt(v/2))."""
+def hilbert_gaussian(variance: float, omega):
+    """Transform of exp(-v t^2 / 2): (2/sqrt(pi)) * F(w * sqrt(v/2)), at
+    a scalar or an array of points."""
     if variance < 0:
         raise ValueError("variance must be nonnegative")
-    return (2.0 / math.sqrt(math.pi)) * float(
-        dawson(omega * math.sqrt(0.5 * variance)))
+    return (2.0 / math.sqrt(math.pi)) * dawson(
+        omega * math.sqrt(0.5 * variance))
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +402,21 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = 1e-8,
 def hilbert(f: CharFn, omega: float, tol: float = 1e-8) -> complex:
     """Hilbert transform of a characteristic function at a real point."""
     return hilbert_eval(f, omega, tol).value
+
+
+def _hilbert_fn(f: CharFn, tol: float = 1e-8) -> Callable:
+    """H{f} at a scalar or an array of points: the closed form attached to
+    f if it has one, else ``hilbert`` point by point."""
+    if f.hilbert_closed_form is not None:
+        return f.hilbert_closed_form
+
+    def transform(w):
+        ws = np.asarray(w, dtype=float)
+        out = np.array([hilbert(f, float(x), tol) for x in ws.ravel()],
+                       dtype=complex).reshape(ws.shape)
+        return out if out.shape else out[()]
+
+    return transform
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from netexposure import (
     pos_abs_cf,
     sample,
 )
-from netexposure.charfn import CharFn, MomentError, signed_abs_cf
+from netexposure.charfn import CharFn, MomentError
 
 CATALOG = [
     LaplaceSym(1.0),
@@ -261,22 +261,30 @@ def test_pos_abs_requires_even_real():
         pos_abs_cf(neg_abs_cf(charfn_of(LaplaceSym(1.0))))
 
 
-def test_signed_abs_rejects_bad_sign():
-    with pytest.raises(ValueError):
-        signed_abs_cf(LaplaceSym(1.0), 0)
-
-
 def test_analytic_signal_relation_on_grid():
     # Im(phi_pos)(t) = H{Re(phi_pos)}(t) within the quadrature tolerance;
     # the slowly decaying oscillatory sinc gets the looser setting
     from netexposure.transforms import hilbert_numeric_pv
 
-    for spec, tol in ((LaplaceSym(1.0), 1e-9), (UniformSym(1.0), 1e-7)):
+    for spec, tol in ((LaplaceSym(1.0), 1e-9), (UniformSym(1.0), 1e-7),
+                      (NormalSym(1.0), 1e-9),
+                      (NormalSym(12.512581759178156), 1e-9)):
         f = pos_abs_cf(charfn_of(spec))
         base = charfn_of(spec)
         for t in (0.3, 1.0, 2.5):
             pv = hilbert_numeric_pv(base, t, tol=tol)
             assert complex(f(t)).imag == pytest.approx(pv.real, abs=1e-6)
+
+
+def test_pos_abs_real_part_is_the_base_cf():
+    # the analytic signal keeps phi itself as its real part, to the last
+    # bit; this sigma has sigma**2 != sigma*sigma in floating point
+    base = charfn_of(NormalSym(12.512581759178156))
+    f = pos_abs_cf(base)
+    ts = np.linspace(-0.4, 0.4, 401)
+    assert np.array_equal(f(ts).real, base(ts).real)
+    for t in ts[::40]:
+        assert complex(f(t)).real == complex(base(t)).real
 
 
 # ---------------------------------------------------------------------------
@@ -419,21 +427,6 @@ def test_empirical_cf_matches_evaluator(spec):
     for t in (0.5, 1.0, 2.0):
         empirical = np.mean(np.exp(1j * t * x))
         assert abs(empirical - complex(f(t))) < 5.0 / math.sqrt(n)
-
-
-def test_signed_abs_type():
-    from netexposure import SignedAbs
-
-    claim = SignedAbs(LaplaceSym(2.0), +1)
-    debt = SignedAbs(LaplaceSym(2.0), -1)
-    assert claim.mean == 2.0 and debt.mean == -2.0
-    ts = np.linspace(-3.0, 3.0, 13)
-    assert np.max(np.abs(debt.char_fn()(ts)
-                         - np.conjugate(claim.char_fn()(ts)))) < 1e-14
-    with pytest.raises(ValueError):
-        SignedAbs(Gamma(1.0, 1.0), +1)
-    with pytest.raises(ValueError):
-        SignedAbs(LaplaceSym(1.0), 2)
 
 
 def test_pos_abs_generic_fallback():

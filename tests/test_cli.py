@@ -1,6 +1,7 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -345,6 +346,25 @@ def test_malformed_fields_raise_parse_errors(data, where):
         parse_market_data(data)
 
 
+@pytest.mark.parametrize("dist, message", [
+    ({"type": "normal", "scale": 50},
+     "$.dist.scale: unknown parameter of normal (sigma)"),
+    ({"type": "gamma", "shape": 2, "scale": 1, "sigma": 1},
+     "$.dist.sigma: unknown parameter of gamma (shape, scale)"),
+], ids=["normal", "gamma"])
+def test_unknown_dist_parameter_is_rejected(tmp_path, capsys, dist, message):
+    from netexposure.io import parse_market_data
+
+    data = {"participants": ["a", "b"], "classes": 1,
+            "links": [{"from": "a", "to": "b", "class": 1}], "dist": dist}
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_market_data(data)
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--market", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_null_dist_parameter_takes_the_default():
     from netexposure.io import parse_market_data
 
@@ -502,6 +522,26 @@ def test_float_overflow_prints_only_the_reason(tmp_path, capsys, argv,
     assert caught == []
     captured = capsys.readouterr()
     assert captured.err == f"numeric failure: {reason}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dist", [
+    LaplaceSym(1e307), LaplaceSym(1e308), LaplaceSym(1.5e308),
+    UniformSym(5e307), UniformSym(8e307)], ids=repr)
+@pytest.mark.parametrize("convention", ["bilateral", "multilateral:1"])
+def test_mc_check_at_extreme_scales_prints_one_reason(tmp_path, capsys, dist,
+                                                      convention):
+    # overflowing draws and their invalid sums warn nothing before the
+    # reason line
+    path = market_file(tmp_path, triangle_directed(), None, dist)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["mc-check", "--market", str(path), "--samples", "50",
+                     "--convention", convention]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
     assert captured.out == ""
 
 

@@ -9,11 +9,13 @@ import contextlib
 import io
 import json
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netexposure.charfn import LAWS
 from netexposure.cli import main
 from netexposure.io import ParseError, parse_market_data
 from netexposure.market import MarketError
@@ -88,8 +90,13 @@ def valid_markets(draw):
                       "directed": draw(st.booleans())})
     law = draw(st.sampled_from(["laplace", "normal", "uniform",
                                 "exponential"]))
+    dist = {"type": law}
+    for f in fields(LAWS[law]):
+        # ordinary scales and the extremes of the float range
+        dist[f.name] = draw(st.sampled_from(
+            [0.5, 2, 5e-324, 1e-300, 1e307, 1e308, 1.5e308]))
     data = {"participants": parts, "classes": k, "links": links,
-            "dist": {"type": law, "scale": draw(st.sampled_from([0.5, 2]))}}
+            "dist": dist}
     if draw(st.booleans()):
         data["convention"] = draw(conventions)
     return data

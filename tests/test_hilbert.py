@@ -175,6 +175,16 @@ def test_gaussian_closed_form():
             assert hilbert_gaussian(v, w) == pytest.approx(want, abs=1e-15)
 
 
+def test_gaussian_closed_form_on_arrays():
+    # the array call, the c.f.'s attached transform, equals the scalar
+    # calls of the Dawson tier to the last bit, on both Dawson branches
+    ws = np.linspace(-40.0, 40.0, 801)
+    for v in (1.0, 12.512581759178156 * 12.512581759178156, 0.64):
+        got = hilbert_gaussian(v, ws)
+        want = np.array([hilbert_gaussian(v, float(w)) for w in ws])
+        assert np.array_equal(got, want)
+
+
 def test_gaussian_odd_and_zero_at_zero():
     assert hilbert_gaussian(2.0, 0.0) == 0.0
     for w in (0.5, 1.0, 2.0):
