@@ -26,8 +26,6 @@ from .charfn import (
     cf_mean,
     cf_product,
     charfn_of,
-    neg_abs_cf,
-    pos_abs_cf,
     sample,
 )
 from .exposure import (
@@ -52,6 +50,8 @@ from .transforms import (
     hilbert_numeric_pv,
     hilbert_one_sided,
     hilbert_rational,
+    neg_abs_cf,
+    pos_abs_cf,
 )
 from .io import MarketFile, ParseError, parse_market, serialize_market
 from .market import (

@@ -6,7 +6,7 @@ distribution; a *directed* link carries the positive (claim) or negative
 the catalog of supported laws, their characteristic functions with enough
 structural metadata (poles, Gaussian variance, one-sidedness, parity) for
 downstream transforms to pick closed forms, and the algebra on them:
-products, signed absolute values, and first-moment extraction.
+products and first-moment extraction.
 """
 
 import math
@@ -29,8 +29,6 @@ __all__ = [
     "CharFn",
     "charfn_of",
     "cf_product",
-    "pos_abs_cf",
-    "neg_abs_cf",
     "cf_mean",
     "sample",
     "MomentError",
@@ -226,39 +224,33 @@ class CharFn:
         return self.fn(t)
 
 
-def _sinc_even(c: float):
-    """Evaluator for sin(ct)/(ct) with the removable singularity at 0
-    handled by its Taylor series for |ct| < 1e-4."""
-
-    def fn(t):
-        t = np.asarray(t, dtype=float)
+def _of_ct(c: float, dtype, near_zero: Callable, away: Callable, t):
+    """g(c*t) at scalar or array t: ``near_zero`` (a Taylor series) for small
+    c*t, ``away`` elsewhere; MomentError when c*t overflows at a finite t."""
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):
         x = c * t
-        out = np.empty(x.shape, dtype=complex)
-        small = np.abs(x) < 1e-4
-        xs = x[small]
-        out[small] = 1.0 - xs * xs / 6.0
-        xb = x[~small]
-        out[~small] = np.sin(xb) / xb
-        return out if out.shape else out[()]
+    overflow = ~np.isfinite(x)
+    if overflow.any() and np.isfinite(t[overflow]).any():
+        raise MomentError(f"half width {c:g} times t leaves the "
+                          "floating-point range")
+    out = np.empty(x.shape, dtype=dtype)
+    small = np.abs(x) < 1e-4
+    out[small] = near_zero(x[small])
+    out[~small] = away(x[~small])
+    return out if out.shape else out[()]
 
-    return fn
+
+def _sinc_even(c: float):
+    """Evaluator for sin(ct)/(ct), by its Taylor series near 0."""
+    return partial(_of_ct, c, complex, lambda x: 1.0 - x * x / 6.0,
+                   lambda x: np.sin(x) / x)
 
 
 def _sinc_hilbert(c: float):
     """Closed form H{sin(ct)/(ct)}(w) = (1 - cos(cw)) / (cw), odd in w."""
-
-    def h(w):
-        w = np.asarray(w, dtype=float)
-        x = c * w
-        out = np.empty(x.shape, dtype=float)
-        small = np.abs(x) < 1e-4
-        xs = x[small]
-        out[small] = 0.5 * xs - xs**3 / 24.0
-        xb = x[~small]
-        out[~small] = (1.0 - np.cos(xb)) / xb
-        return out if out.shape else out[()]
-
-    return h
+    return partial(_of_ct, c, float, lambda x: 0.5 * x - x**3 / 24.0,
+                   lambda x: (1.0 - np.cos(x)) / x)
 
 
 def _gamma_cf(shape: float, scale: float, label: str,
@@ -293,8 +285,8 @@ def charfn_of(spec: Distribution) -> CharFn:
     """Characteristic function of a catalog law, with structure tags.
 
     Laplace gives a rational function with the exact pole pair +-i/b;
-    the normal law is tagged by its variance and carries its Dawson
-    closed-form transform; gamma laws are one-sided (rational when the shape
+    the normal law is tagged by its variance (its transform is Dawson's
+    closed form); gamma laws are one-sided (rational when the shape
     is an integer); the symmetric uniform is even-real with a known
     closed-form transform of its sinc shape.
     """
@@ -312,8 +304,6 @@ def charfn_of(spec: Distribution) -> CharFn:
         return CharFn(fn=fn, rational=rational, even_real=True, mean=0.0,
                       dist=spec, label=f"laplace(b={b:g})")
     if isinstance(spec, NormalSym):
-        from .transforms import hilbert_gaussian  # transforms imports charfn
-
         v = _square(spec, spec.sigma)
 
         def fn(t):
@@ -321,9 +311,7 @@ def charfn_of(spec: Distribution) -> CharFn:
             return np.exp(-0.5 * v * t * t).astype(complex)
 
         return CharFn(fn=fn, gaussian_variance=v, even_real=True, mean=0.0,
-                      dist=spec,
-                      hilbert_closed_form=partial(hilbert_gaussian, v),
-                      label=f"normal(sigma={spec.sigma:g})")
+                      dist=spec, label=f"normal(sigma={spec.sigma:g})")
     if isinstance(spec, UniformSym):
         c = spec.half_width
         return CharFn(
@@ -424,67 +412,6 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         mean=mean,
         label=" * ".join(f.label or "?" for f in fs),
     )
-
-
-def _conjugate_cf(f: CharFn) -> CharFn:
-    """Mirror a characteristic function: the c.f. of -X is conj(f(t))."""
-    inner = f.fn
-
-    def fn(t):
-        return np.conjugate(inner(t))
-
-    return CharFn(
-        fn=fn,
-        rational=f.rational.conjugate() if f.rational is not None else None,
-        gaussian_variance=f.gaussian_variance,
-        side=-f.side if f.side is not None else None,
-        even_real=f.even_real,
-        mean=-f.mean if f.mean is not None else None,
-        dist=f.dist,
-        label=f"mirror({f.label})" if f.label else "",
-    )
-
-
-def pos_abs_cf(base: CharFn) -> CharFn:
-    """C.f. of the positive absolute value |X| of a symmetric variable.
-
-    The result is the analytic signal of the input: the real part equals
-    the input and the imaginary part is its Hilbert transform, the law's
-    closed form when it has one (Dawson for the normal law, (1 - cos cw)
-    / (cw) for the uniform) and quadrature otherwise. Laplace inputs give
-    the exponential law instead, whose rational form the residue tier
-    uses; a one-sided input is returned unchanged.
-    """
-    if base.side == +1:
-        return base
-    if not base.even_real:
-        raise ValueError("positive absolute value needs a real, even c.f. "
-                         "(symmetric distribution) or a one-sided one")
-    label = f"pos_abs({base.label})"
-    if isinstance(base.dist, LaplaceSym):
-        return _gamma_cf(1.0, base.dist.scale, label, base.dist)
-
-    from .transforms import _hilbert_fn, hilbert_deriv_at_zero
-
-    inner = base.fn
-    transform = _hilbert_fn(base)
-
-    def fn(t):
-        return inner(t) + 1j * np.real(transform(t))
-
-    mean = (base.dist.abs_mean if base.dist is not None
-            else hilbert_deriv_at_zero(base))
-    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist, label=label)
-
-
-def neg_abs_cf(base: CharFn) -> CharFn:
-    """C.f. of the negative absolute value -|X|; the complex conjugate of
-    the positive one. A one-sided positive input is mirrored directly."""
-    if base.side == -1:
-        return base
-    if base.side == +1:
-        return _conjugate_cf(base)
-    return _conjugate_cf(pos_abs_cf(base))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: analyze, compare-netting, advantage, advantage-table,
-mc-check, hilbert-eval. Exit code 0 on success, 1 on validation or
-parsing problems, 2 on numeric failure.
+mc-check, hilbert-eval. Exit code 0 on success, 1 on validation, parsing
+or usage problems, 2 on numeric failure.
 """
 
 import argparse
@@ -11,18 +11,17 @@ import sys
 from dataclasses import fields
 
 from .advantage import ccp_advantage, min_participants_table
-from .charfn import (
-    LAWS,
-    MomentError,
-    charfn_of,
-    cf_product,
+from .charfn import LAWS, MomentError, cf_product, charfn_of
+from .exposure import expected_market
+from .transforms import (
+    ToleranceError,
+    TruncationError,
+    hilbert_eval,
     neg_abs_cf,
     pos_abs_cf,
 )
-from .exposure import expected_market
-from .transforms import ToleranceError, TruncationError, hilbert_eval
 from .io import ParseError, format_report, parse_market
-from .market import Bilateral, MarketError, Multilateral
+from .market import Bilateral, Custom, MarketError, Multilateral
 from .mc import mc_expected_exposure, mc_market_totals
 
 EXIT_OK = 0
@@ -117,17 +116,20 @@ def _cmd_mc_check(args) -> int:
         links = ",".join(str(i) for i in e.links)
         lines.append(f"{e.owner:<10} {links:<14} {e.value:>12.8f} "
                      f"{mc.estimate:>12.8f} {mc.stderr:>10.2e} {z:>7.2f}")
-    ccp = convention.cls if isinstance(convention, Multilateral) else None
-    totals = mc_market_totals(market, dist, args.samples, args.seed,
-                              ccp_class=ccp)
-    if ccp is not None and totals.multilateral is not None:
-        label, mc = f"market total (pooled class {ccp})", totals.multilateral
+    if isinstance(convention, Custom):
+        lines.append(f"market total: analytic {report.market_total:.8f} "
+                     "(no independent Monte Carlo total for a custom "
+                     "partition)")
     else:
-        label, mc = "market total", totals.bilateral
-    z = mc.z_score(report.market_total)
-    worst = max(worst, abs(z))
-    lines.append(f"{label}: analytic {report.market_total:.8f} "
-                 f"mc {mc.estimate:.8f} z {z:+.2f}")
+        ccp = convention.cls if isinstance(convention, Multilateral) else None
+        totals = mc_market_totals(market, dist, args.samples, args.seed,
+                                  ccp_class=ccp)
+        label, mc = ("market total", totals.bilateral) if ccp is None else (
+            f"market total (pooled class {ccp})", totals.multilateral)
+        z = mc.z_score(report.market_total)
+        worst = max(worst, abs(z))
+        lines.append(f"{label}: analytic {report.market_total:.8f} "
+                     f"mc {mc.estimate:.8f} z {z:+.2f}")
     lines.append(f"max |z| = {worst:.2f} over {args.samples} samples "
                  f"(seed {args.seed})")
     print("\n".join(lines))
@@ -203,7 +205,12 @@ def main(argv=None) -> int:
                    default="auto")
     p.set_defaults(func=_cmd_hilbert_eval)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on help
+        if exc.code != 2:
+            raise
+        return EXIT_INVALID
     try:
         if not 0 < args.tol < math.inf:
             raise ParseError("--tol must be positive and finite, "

@@ -33,12 +33,15 @@ from .charfn import (
     UniformSym,
     charfn_of,
     cf_product,
-    neg_abs_cf,
-    pos_abs_cf,
     _richardson_central,
     _square,
 )
-from .transforms import _hilbert_fn, hilbert_deriv_at_zero
+from .transforms import (
+    _hilbert_fn,
+    hilbert_deriv_at_zero,
+    neg_abs_cf,
+    pos_abs_cf,
+)
 from .market import (
     Bilateral,
     Convention,
@@ -246,7 +249,8 @@ def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
 
 def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
                       tol: float = DEFAULT_TOL) -> float | None:
-    """Parity-shortcut value 1/2 dH(0), or None when it does not apply.
+    """Parity-shortcut value 1/2 dH(0), or None when it does not apply;
+    where it applies, the value is ``expected_exposure``'s.
 
     Applies to all-directed sets whose claims and debts balance (the net
     position then has zero mean and an even real c.f.) and to fully
@@ -254,14 +258,9 @@ def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
     function is odd, so its value at 0 contributes nothing.
     """
     plus, minus, sym = _signature(s.signs)
-    if not s.items:
-        return None
-    all_directed = sym == 0
-    all_undirected = plus == 0 and minus == 0
-    if not ((all_directed and plus == minus) or all_undirected):
-        return None
-    f = netting_set_cf(m, s, dist)
-    return 0.5 * hilbert_deriv_at_zero(f, tol)
+    if s.items and plus == minus and (sym == 0 or plus == 0):
+        return expected_exposure(m, s, dist, tol).value
+    return None
 
 
 # ---------------------------------------------------------------------------

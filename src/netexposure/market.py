@@ -74,8 +74,7 @@ class Link:
 class Market:
     """N participants, K classes and the links between them.
 
-    The incidence index (each vertex's link indices, ascending) and the
-    validation errors are computed lazily, once per instance; a market
+    The validation errors are computed lazily, once per instance; a market
     built by ``dataclasses.replace`` starts without them.
     """
 
@@ -85,22 +84,13 @@ class Market:
     directed: bool = False
 
     @cached_property
-    def _incidence(self) -> dict[str, list[int]]:
-        index: dict[str, list[int]] = {}
-        for i, a in enumerate(self.links):
-            index.setdefault(a.source, []).append(i)
-            if a.target != a.source:
-                index.setdefault(a.target, []).append(i)
-        return index
-
-    @cached_property
     def _errors(self) -> tuple[str, ...]:
         return tuple(validate_market(self))
 
     def incident_links(self, vertex: str, cls: int | None = None
                        ) -> list[int]:
-        return [i for i in self._incidence.get(vertex, ())
-                if cls is None or self.links[i].cls == cls]
+        return [i for i, a in enumerate(self.links)
+                if a.incident(vertex) and (cls is None or a.cls == cls)]
 
     def neighbourhood(self, vertex: str, cls: int | None = None) -> list[str]:
         seen: dict[str, None] = {}
@@ -261,12 +251,6 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
 
 # Netting partitions ----------------------------------------------------------
 
-def _sign_for(a: Link, owner: str) -> int:
-    if not a.directed:
-        return SIGN_SYMMETRIC
-    return +1 if a.target == owner else -1
-
-
 def _partition(m: Market, pool: int | None) -> dict[str, list[NettingSet]]:
     """Every vertex's netting sets from one pass over the links: its
     class-``pool`` links form one pooled set, listed first, and its other
@@ -304,22 +288,6 @@ def multilateral_partition(m: Market, cls: int) -> dict[str, NettingSet]:
             for v, sets in _partition(m, cls).items()}
 
 
-def _validate_partition(m: Market, sets: dict[str, list[NettingSet]],
-                        incident: dict[str, set[int]]) -> None:
-    for v in m.participants:
-        covered: list[int] = []
-        for s in sets[v]:
-            if not s.items:
-                raise MarketError(f"empty netting set for {v!r}")
-            covered.extend(s.link_indices)
-        if len(covered) != len(set(covered)):
-            raise MarketError(f"overlapping netting sets for {v!r}")
-        if set(covered) != incident[v]:
-            missing = sorted(incident[v] - set(covered))
-            raise MarketError(f"netting sets of {v!r} do not cover links "
-                              f"{missing}")
-
-
 def netting_sets(m: Market, convention: Convention
                  ) -> dict[str, list[NettingSet]]:
     """Netting partition of every participant under a convention.
@@ -335,19 +303,31 @@ def netting_sets(m: Market, convention: Convention
         return _partition(m, convention.cls)
     if isinstance(convention, Custom):
         out = {v: [] for v in m.participants}
-        incident = {v: set(m.incident_links(v)) for v in m.participants}
+        # each owner's incident links and their signs, by link index
+        incident = {v: dict(item for s in sets for item in s.items)
+                    for v, sets in _partition(m, None).items()}
         for owner, block in convention.sets:
             if owner not in out:
                 raise MarketError(f"unknown participant {owner!r} "
                                   f"in custom partition")
-            for i in block:  # before m.links[i]: i may be out of range
-                if i not in incident[owner]:
+            signs = incident[owner]
+            for i in block:
+                if i not in signs:
                     raise MarketError(f"link {i} in a netting set of "
                                       f"{owner!r} is not incident to it")
-            items = tuple((i, _sign_for(m.links[i], owner)) for i in block)
+            items = tuple((i, signs[i]) for i in block)
             out[owner].append(NettingSet(owner=owner, items=items,
                                          kind="custom"))
-        _validate_partition(m, out, incident)
+        for v, sets in out.items():
+            if not all(s.items for s in sets):
+                raise MarketError(f"empty netting set for {v!r}")
+            covered = [i for s in sets for i, _ in s.items]
+            if len(covered) != len(set(covered)):
+                raise MarketError(f"overlapping netting sets for {v!r}")
+            if set(covered) != incident[v].keys():
+                missing = sorted(incident[v].keys() - set(covered))
+                raise MarketError(f"netting sets of {v!r} do not cover "
+                                  f"links {missing}")
         return out
     raise TypeError(f"unknown convention: {convention!r}")
 

@@ -14,16 +14,27 @@ Three closed-form tiers plus a numerical fallback for the transform:
 
 Its slope at zero is E|Y|: analytic for Gaussian and one-sided functions,
 else one regular quadrature, E|Y| = (2/pi) * integral_0^inf
-(1 - Re phi(t)) / t^2 dt, on the principal value's adaptive panels.
+(1 - Re phi(t)) / t^2 dt, on the principal value's adaptive panels. For
+a symmetric X with c.f. phi, the c.f. of |X| is the analytic signal
+phi + i*H{phi}.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .charfn import CharFn, Pole, RationalForm, cf_mean
+from .charfn import (
+    CharFn,
+    Exponential,
+    LaplaceSym,
+    Pole,
+    RationalForm,
+    cf_mean,
+    charfn_of,
+)
 
 __all__ = [
     "dawson",
@@ -34,6 +45,8 @@ __all__ = [
     "hilbert",
     "hilbert_eval",
     "hilbert_deriv_at_zero",
+    "pos_abs_cf",
+    "neg_abs_cf",
     "HilbertResult",
     "ToleranceError",
     "TruncationError",
@@ -212,7 +225,7 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# One-sided (analytic signal) rule
+# One-sided (analytic signal) rule, and the c.f.s of |X| and -|X|
 # ---------------------------------------------------------------------------
 
 def hilbert_one_sided(f: CharFn, omega: float) -> complex:
@@ -223,6 +236,59 @@ def hilbert_one_sided(f: CharFn, omega: float) -> complex:
     if f.side == -1:
         return 1j * complex(f.fn(omega))
     raise ValueError("not an analytic signal: mixed or two-sided structure")
+
+
+def _conjugate_cf(f: CharFn) -> CharFn:
+    """Mirror a characteristic function: the c.f. of -X is conj(f(t))."""
+    inner = f.fn
+    return replace(
+        f, fn=lambda t: np.conjugate(inner(t)),
+        rational=f.rational.conjugate() if f.rational is not None else None,
+        side=-f.side if f.side is not None else None,
+        mean=-f.mean if f.mean is not None else None,
+        hilbert_closed_form=None,
+        label=f"mirror({f.label})" if f.label else "")
+
+
+def pos_abs_cf(base: CharFn) -> CharFn:
+    """C.f. of the positive absolute value |X| of a symmetric variable.
+
+    The result is the analytic signal of the input: the real part equals
+    the input and the imaginary part is its Hilbert transform, the law's
+    closed form when it has one (Dawson for the normal law, (1 - cos cw)
+    / (cw) for the uniform) and quadrature otherwise. Laplace inputs give
+    the exponential law instead, whose rational form the residue tier
+    uses; a one-sided input is returned unchanged.
+    """
+    if base.side == +1:
+        return base
+    if not base.even_real:
+        raise ValueError("positive absolute value needs a real, even c.f. "
+                         "(symmetric distribution) or a one-sided one")
+    label = f"pos_abs({base.label})"
+    if isinstance(base.dist, LaplaceSym):
+        return replace(charfn_of(Exponential(base.dist.scale)),
+                       dist=base.dist, label=label)
+
+    inner = base.fn
+    transform = _hilbert_fn(base)
+
+    def fn(t):
+        return inner(t) + 1j * np.real(transform(t))
+
+    mean = (base.dist.abs_mean if base.dist is not None
+            else hilbert_deriv_at_zero(base))
+    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist, label=label)
+
+
+def neg_abs_cf(base: CharFn) -> CharFn:
+    """C.f. of the negative absolute value -|X|; the complex conjugate of
+    the positive one. A one-sided positive input is mirrored directly."""
+    if base.side == -1:
+        return base
+    if base.side == +1:
+        return _conjugate_cf(base)
+    return _conjugate_cf(pos_abs_cf(base))
 
 
 # ---------------------------------------------------------------------------
@@ -406,9 +472,12 @@ def hilbert(f: CharFn, omega: float, tol: float = 1e-8) -> complex:
 
 def _hilbert_fn(f: CharFn, tol: float = 1e-8) -> Callable:
     """H{f} at a scalar or an array of points: the closed form attached to
-    f if it has one, else ``hilbert`` point by point."""
+    f if it has one, Dawson's for a Gaussian shape, else ``hilbert`` point
+    by point."""
     if f.hilbert_closed_form is not None:
         return f.hilbert_closed_form
+    if f.gaussian_variance is not None:
+        return partial(hilbert_gaussian, f.gaussian_variance)
 
     def transform(w):
         ws = np.asarray(w, dtype=float)
@@ -441,3 +510,4 @@ def hilbert_deriv_at_zero(f: CharFn, tol: float = 1e-7, *,
         value, error = _abs_mean(f.fn, tol)
     value, error = float(value), float(error)
     return (value, error) if with_error else value
+

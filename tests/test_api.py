@@ -1,9 +1,12 @@
 """The public surface: every ``__all__`` entry and package re-export
-resolves to a real object."""
+resolves to a real object, and the package's modules import each other
+without a cycle."""
 
+import ast
 import importlib
 import pkgutil
 import types
+from pathlib import Path
 
 import netexposure
 
@@ -30,3 +33,36 @@ def test_package_reexports_come_from_a_module_all():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert public.get(name) is value, name
+
+
+def _relative_imports(path: Path) -> set[str]:
+    """Sibling modules that a module imports anywhere, function bodies
+    included: ``from .x import y`` and ``from . import x``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                out.add(node.module.split(".")[0])
+            else:
+                out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_module_import_graph_is_acyclic():
+    root = Path(netexposure.__file__).parent
+    graph = {p.stem: _relative_imports(p) for p in root.glob("*.py")}
+    assert set(graph) >= {"charfn", "transforms", "exposure", "cli"}
+    done, on_path = set(), []
+
+    def visit(module):
+        assert module not in on_path, " -> ".join(on_path + [module])
+        if module in done or module not in graph:
+            return
+        on_path.append(module)
+        for dep in sorted(graph[module]):
+            visit(dep)
+        on_path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

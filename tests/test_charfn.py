@@ -443,3 +443,61 @@ def test_pos_abs_generic_fallback():
     for t in (0.4, 1.0, 2.0):
         assert complex(generic(t)) == pytest.approx(complex(exact(t)),
                                                     abs=1e-7)
+
+
+def _old_sinc_even(c, t):
+    """sin(ct)/(ct) as the evaluator wrote it before sharing its helper."""
+    t = np.asarray(t, dtype=float)
+    x = c * t
+    out = np.empty(x.shape, dtype=complex)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = 1.0 - xs * xs / 6.0
+    xb = x[~small]
+    out[~small] = np.sin(xb) / xb
+    return out if out.shape else out[()]
+
+
+def _old_sinc_hilbert(c, w):
+    w = np.asarray(w, dtype=float)
+    x = c * w
+    out = np.empty(x.shape, dtype=float)
+    small = np.abs(x) < 1e-4
+    xs = x[small]
+    out[small] = 0.5 * xs - xs**3 / 24.0
+    xb = x[~small]
+    out[~small] = (1.0 - np.cos(xb)) / xb
+    return out if out.shape else out[()]
+
+
+def _hexes(values):
+    return [(float(v.real).hex(), float(v.imag).hex())
+            for v in np.atleast_1d(values)]
+
+
+@pytest.mark.parametrize("c", [1.0, 3.0, 1e-6, 2.5e5])
+def test_sinc_evaluators_match_their_inline_formulas(c):
+    from netexposure.charfn import _sinc_even, _sinc_hilbert
+
+    # |c*t| on both sides of the 1e-4 cut, at 0 and at both signs
+    ts = np.array([0.0, 1e-9, -3e-5, 9.99e-5, 1e-4, -1.0001e-4, 0.5, -2.0,
+                   7.0, 1e3]) / c
+    for new, old in ((_sinc_even(c), _old_sinc_even),
+                     (_sinc_hilbert(c), _old_sinc_hilbert)):
+        assert _hexes(new(ts)) == _hexes(old(c, ts))
+        for t in ts:
+            got, want = new(t), old(c, t)
+            assert np.ndim(got) == np.ndim(want) == 0
+            assert type(got) is type(want)
+            assert _hexes(got) == _hexes(want)
+
+
+@pytest.mark.parametrize("c", [1e307, 1.7e308])
+def test_sinc_evaluators_reject_an_overflowing_argument(c):
+    from netexposure.charfn import _sinc_even, _sinc_hilbert
+
+    even, odd = _sinc_even(c), _sinc_hilbert(c)
+    for fn in (even, odd):
+        with pytest.raises(MomentError, match="floating-point range"):
+            fn(np.array([0.0, 64.0]))
+    assert even(0.0) == 1.0 and odd(0.0) == 0.0  # c * 0 is in range

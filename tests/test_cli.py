@@ -575,3 +575,68 @@ def test_advantage_table_needs_a_two_sided_law(capsys, dist):
     captured = capsys.readouterr()
     assert "needs a two-sided law" in captured.err
     assert captured.out == ""
+
+
+def pooled_custom_market(tmp_path):
+    """a->b, b->c, c->a in class 1 and a->b in class 2, each owner's
+    links pooled into one custom set."""
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({
+        "participants": ["a", "b", "c"], "classes": 2,
+        "links": [{"from": "a", "to": "b", "class": 1, "directed": True},
+                  {"from": "b", "to": "c", "class": 1, "directed": True},
+                  {"from": "c", "to": "a", "class": 1, "directed": True},
+                  {"from": "a", "to": "b", "class": 2, "directed": True}],
+        "convention": {"type": "custom", "sets": [
+            {"owner": "a", "links": [0, 2, 3]},
+            {"owner": "b", "links": [0, 1, 3]},
+            {"owner": "c", "links": [1, 2]}]},
+        "dist": {"type": "laplace", "scale": 1.0}}))
+    return path
+
+
+def test_mc_check_under_a_custom_convention_checks_the_sets_only(
+        tmp_path, capsys):
+    # the oracle's bilateral total (4 here) is no reference for the
+    # custom partition's analytic total (2)
+    assert main(["mc-check", "--market", str(pooled_custom_market(tmp_path)),
+                 "--samples", "20000", "--seed", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == ("market total: analytic 2.00000000 (no independent "
+                         "Monte Carlo total for a custom partition)")
+    set_z = [abs(float(line.split()[-1])) for line in lines[1:-2]]
+    assert len(set_z) == 3
+    assert lines[-1] == (f"max |z| = {max(set_z):.2f} over 20000 samples "
+                         "(seed 1)")
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["analyze", "--market", "m.json", "--format", "yaml"],
+    ["hilbert-eval", "--dist", "bogus", "--omega", "1"],
+    ["mc-check", "--market", "m.json", "--samples", "abc"],
+    ["--tol", "x", "analyze", "--market", "m.json"],
+    ["frobnicate"],
+    [],
+])
+def test_usage_errors_exit_one(capsys, argv):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "usage: netexposure" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("half_width", ["1e307", "1.7e308"])
+@pytest.mark.parametrize("power", ["1", "3"])
+def test_hilbert_eval_at_an_overflowing_uniform_width_prints_one_reason(
+        capsys, half_width, power):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["hilbert-eval", "--dist", "uniform", "--half-width",
+                     half_width, "--power", power, "--omega", "0.7"]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    width = float(half_width)
+    assert captured.err == (f"numeric failure: half width {width:g} times t "
+                            "leaves the floating-point range\n")
+    assert captured.out == ""

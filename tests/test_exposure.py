@@ -639,3 +639,17 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
             assert calls == []
             assert all(e.method == "closed-form" and e.exact is not None
                        for e in report.per_netting_set)
+
+
+@pytest.mark.parametrize("dist", [LaplaceSym(1.0), LaplaceSym(0.3),
+                                  UniformSym(1.0), UniformSym(2.5)],
+                         ids=repr)
+@pytest.mark.parametrize("n_plus, n_minus, n_sym",
+                         [(1, 1, 0), (2, 2, 0), (3, 3, 0), (0, 0, 1),
+                          (0, 0, 4)])
+def test_shortcut_is_the_exact_value_on_laplace_and_uniform_sets(
+        dist, n_plus, n_minus, n_sym):
+    m = hub_market(n_plus, n_minus, n_sym)
+    short = eulerian_shortcut(m, hub_set(m), dist)
+    exact = float(exact_exposure(dist, n_plus, n_minus, n_sym))
+    assert short.hex() == exact.hex()

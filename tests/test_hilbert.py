@@ -410,3 +410,15 @@ def test_forced_method_must_be_applicable():
         hilbert_eval(charfn_of(NormalSym(1.0)), 1.0, method="residue")
     with pytest.raises(ValueError, match="analytic signal"):
         hilbert_eval(laplace, 1.0, method="onesided")
+
+
+def test_gaussian_product_transform_is_the_closed_form_on_arrays():
+    from netexposure.transforms import _hilbert_fn
+
+    f = cf_product([charfn_of(NormalSym(0.8))] * 3)
+    assert f.hilbert_closed_form is None and f.gaussian_variance is not None
+    ws = np.array([[-3.0, -0.4, 0.0], [0.25, 1.0, 7.5]])
+    values = _hilbert_fn(f)(ws)
+    assert values.shape == ws.shape
+    for w, value in zip(ws.ravel(), values.ravel()):
+        assert abs(value - hilbert(f, float(w))) <= 1e-15
