@@ -122,10 +122,8 @@ def _cmd_mc_check(args) -> int:
                      "partition)")
     else:
         ccp = convention.cls if isinstance(convention, Multilateral) else None
-        totals = mc_market_totals(market, dist, args.samples, args.seed,
-                                  ccp_class=ccp)
-        label, mc = ("market total", totals.bilateral) if ccp is None else (
-            f"market total (pooled class {ccp})", totals.multilateral)
+        mc = mc_market_totals(market, dist, args.samples, args.seed, ccp)
+        label = "market total" + (f" (pooled class {ccp})" if ccp else "")
         z = mc.z_score(report.market_total)
         worst = max(worst, abs(z))
         lines.append(f"{label}: analytic {report.market_total:.8f} "

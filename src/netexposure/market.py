@@ -13,6 +13,7 @@ import itertools
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
+from math import inf
 from operator import itemgetter
 from typing import Iterator, NamedTuple
 
@@ -164,16 +165,19 @@ def validate_market(m: Market) -> list[str]:
         errors.append("market needs at least one participant")
     if len(set(m.participants)) != len(m.participants):
         errors.append("duplicate participant identifiers")
+    if m.n_classes < 1:
+        errors.append("market needs at least one derivative class")
     known = set(m.participants)
     seen_pairs = set()
     for idx, a in enumerate(m.links):
-        u, w, cls = a.source, a.target, a.cls
+        u, w, cls, weight = a.source, a.target, a.cls, a.weight
         key = (u, w, cls) if u < w else (w, u, cls)
         duplicate = key in seen_pairs
         seen_pairs.add(key)
         if not (duplicate or u == w or u not in known or w not in known
                 or not 1 <= cls <= m.n_classes
-                or a.directed and not m.directed):
+                or a.directed and not m.directed
+                or weight is not None and not -inf < weight < inf):
             continue
         where = f"links[{idx}]"
         if a.source == a.target:
@@ -189,6 +193,8 @@ def validate_market(m: Market) -> list[str]:
                           f"{a.source}-{a.target} in class {a.cls}")
         if a.directed and not m.directed:
             errors.append(f"{where}: directed link in an undirected market")
+        if weight is not None and not -inf < weight < inf:
+            errors.append(f"{where}: realised weight {weight!r} is not finite")
     return errors
 
 
@@ -198,11 +204,15 @@ def require_valid(m: Market) -> Market:
     return m
 
 
+def _require_class(m: Market, cls: int) -> None:
+    if not 1 <= cls <= m.n_classes:
+        raise MarketError(f"unknown class {cls} (market has {m.n_classes})")
+
+
 # Degrees and orientations ----------------------------------------------------
 
 def _class_links(m: Market, cls: int) -> list[tuple[int, Link]]:
-    if not 1 <= cls <= m.n_classes:
-        raise MarketError(f"unknown class {cls} (market has {m.n_classes})")
+    _require_class(m, cls)
     return [(i, a) for i, a in enumerate(m.links) if a.cls == cls]
 
 
@@ -256,8 +266,8 @@ def _partition(m: Market, pool: int | None) -> dict[str, list[NettingSet]]:
     class-``pool`` links form one pooled set, listed first, and its other
     links one set per counterparty, peers in the order of their first
     link. Items ascend by link index."""
-    if pool is not None and not 1 <= pool <= m.n_classes:
-        raise MarketError(f"unknown class {pool} (market has {m.n_classes})")
+    if pool is not None:
+        _require_class(m, pool)
     # the pool's key None comes first in every vertex's groups
     groups = {v: defaultdict(list, {None: []}) for v in m.participants}
     for i, a in enumerate(m.links):
@@ -335,18 +345,19 @@ def netting_sets(m: Market, convention: Convention
 # Deterministic risk measures -------------------------------------------------
 
 def _require_weights(m: Market) -> None:
+    require_valid(m)
     for i, a in enumerate(m.links):
         if a.weight is None:
             raise MarketError(f"links[{i}] carries no realised weight")
 
 
-def _pair_positions(m: Market, classes: set[int] | None = None
+def _pair_positions(m: Market, cleared: int | None = None
                     ) -> dict[tuple[str, str], float]:
-    """Net realised position per unordered pair, signed towards the first
-    (lexicographically smaller) vertex of the key."""
+    """Net realised position per unordered pair outside class ``cleared``,
+    signed towards the key's first (lexicographically smaller) vertex."""
     pos: dict[tuple[str, str], float] = {}
     for a in m.links:
-        if classes is not None and a.cls not in classes:
+        if a.cls == cleared:
             continue
         credit = a.target if a.directed else a.source
         debit = a.source if a.directed else a.target
@@ -379,7 +390,7 @@ def current_multilateral_risk(m: Market, cls: int) -> MultilateralRisk:
     once as a debt, so it equals twice the summed positive parts.
     """
     _require_weights(m)
-    _class_links(m, cls)
+    _require_class(m, cls)
     per_vertex = {v: 0.0 for v in m.participants}
     for a in m.links:
         if a.cls != cls:
@@ -389,8 +400,6 @@ def current_multilateral_risk(m: Market, cls: int) -> MultilateralRisk:
         per_vertex[credit] += a.weight
         per_vertex[debit] -= a.weight
     class_measure = float(sum(abs(y) for y in per_vertex.values()))
-    rest = float(sum(abs(y) for y in
-                     _pair_positions(m, set(range(1, m.n_classes + 1))
-                                     - {cls}).values()))
+    rest = float(sum(abs(y) for y in _pair_positions(m, cls).values()))
     return MultilateralRisk(class_measure=class_measure,
                             combined=class_measure + rest)

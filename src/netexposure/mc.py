@@ -26,13 +26,13 @@ from .market import (
     Market,
     NettingSet,
     SIGN_SYMMETRIC,
+    _require_class,
     netting_sets,
     require_valid,
 )
 
 __all__ = [
     "MCEstimate",
-    "MarketTotals",
     "mc_expected_exposure",
     "mc_market_totals",
     "market_total_samples",
@@ -52,12 +52,6 @@ class MCEstimate:
             raise MomentError("the Monte Carlo standard error is "
                               f"{self.stderr:g}, so the z-score is undefined")
         return (self.estimate - reference) / self.stderr
-
-
-@dataclass(frozen=True)
-class MarketTotals:
-    bilateral: MCEstimate
-    multilateral: MCEstimate | None = None
 
 
 _THREAD = threading.local()
@@ -139,63 +133,47 @@ def mc_expected_exposure(m: Market, convention: Convention,
 
 @np.errstate(over="ignore", invalid="ignore")
 def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
-                         ccp_class: int | None = None
-                         ) -> tuple[np.ndarray, np.ndarray | None]:
-    """Per-sample market totals (bilateral, and pooled if a CCP class is
-    given), vectorising the deterministic measures over realisations.
-
-    Claims of one side being the other's liabilities, the bilateral total
-    per sample is the sum of |net pair position| (both perspectives of a
-    pair, claims counted once). The pooled class contributes each
-    participant's clipped position max[y; 0] against the CCP - half the
-    gross twice-counted measure - plus the bilateral rest.
+                         ccp_class: int | None = None) -> np.ndarray:
+    """Per-sample market total, netted bilaterally or with class
+    ``ccp_class`` cleared through a CCP: |net position| per bilateral pair
+    (one side's claims are the other's debts, so a pair counts once), plus
+    each participant's clipped cleared-class position max[y; 0] against
+    the CCP - half the gross twice-counted measure.
     """
     require_valid(m)
-    if ccp_class is not None and not 1 <= ccp_class <= m.n_classes:
-        raise ValueError(f"unknown class {ccp_class} "
-                         f"(market has {m.n_classes})")
+    vertex_pos = {}
+    if ccp_class is not None:
+        _require_class(m, ccp_class)
+        vertex_pos = {v: np.zeros(n) for v in m.participants}
     pair_pos: dict[frozenset, np.ndarray] = {}
-    rest_pos: dict[frozenset, np.ndarray] = {}
-    vertex_pos = ({v: np.zeros(n) for v in m.participants}
-                  if ccp_class is not None else {})
 
     for i, link in enumerate(m.links):
         draw = link_draw(m, dist, i, n, seed)
-        key = frozenset((link.source, link.target))
         credit = link.target if link.directed else link.source
-        positive = credit == min(key)
-        for pool in ((pair_pos,) if ccp_class is None or link.cls == ccp_class
-                     else (pair_pos, rest_pos)):
-            y = pool.get(key)
-            if y is None:
-                pool[key] = draw.copy() if positive else -draw
-            elif positive:
-                y += draw
-            else:
-                y -= draw
-        if ccp_class is not None and link.cls == ccp_class:
+        if link.cls == ccp_class:
             debit = link.source if link.directed else link.target
             vertex_pos[credit] += draw
             vertex_pos[debit] -= draw
+            continue
+        key = frozenset((link.source, link.target))
+        if credit != min(key):
+            np.negative(draw, out=draw)  # y + (-x) rounds as y - x does
+        if (y := pair_pos.get(key)) is None:
+            pair_pos[key] = draw
+        else:
+            y += draw
 
-    bilateral = np.zeros(n)
+    total = np.zeros(n)
+    for y in vertex_pos.values():
+        total += np.maximum(y, 0.0, out=y)
     for y in pair_pos.values():
-        bilateral += np.abs(y, out=y)
-    pooled = None
-    if ccp_class is not None:
-        pooled = np.zeros(n)
-        for y in vertex_pos.values():
-            pooled += np.maximum(y, 0.0, out=y)
-        for y in rest_pos.values():
-            pooled += np.abs(y, out=y)
-    return bilateral, pooled
+        total += np.abs(y, out=y)
+    return total
 
 
 def mc_market_totals(m: Market, dist: Distribution, n: int, seed: int,
-                     ccp_class: int | None = None) -> MarketTotals:
-    """Simulated expected market totals with standard errors."""
-    bilateral, pooled = market_total_samples(m, dist, n, seed, ccp_class)
-    return MarketTotals(
-        bilateral=_estimate(bilateral),
-        multilateral=_estimate(pooled) if pooled is not None else None,
-    )
+                     ccp_class: int | None = None) -> MCEstimate:
+    """Simulated expected market total, netted bilaterally or with class
+    ``ccp_class`` cleared, and its standard error. Draws are keyed by
+    (seed, link), so calls with one seed share them."""
+    return _estimate(market_total_samples(m, dist, n, seed, ccp_class))

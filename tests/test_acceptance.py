@@ -290,29 +290,27 @@ def test_criterion_9_mc_concordance():
                 assert abs(e.value - mc.estimate) <= band, (label, e)
         # market totals, both netting types
         directed = two_tier(True)
-        totals = mc_market_totals(directed, LaplaceSym(1.0), MC_SAMPLES,
-                                  MC_SEED)
-        assert abs(totals.bilateral.estimate - 5.0) \
-            <= 4 * totals.bilateral.stderr
+        total = mc_market_totals(directed, LaplaceSym(1.0), MC_SAMPLES,
+                                 MC_SEED)
+        assert abs(total.estimate - 5.0) <= 4 * total.stderr
+        # one seed: the bilateral and pooled totals share their draws
         undirected = two_tier(False)
-        totals = mc_market_totals(undirected, LaplaceSym(1.0), MC_SAMPLES,
+        total = mc_market_totals(undirected, LaplaceSym(1.0), MC_SAMPLES,
+                                 MC_SEED)
+        assert abs(total.estimate - 7.5) <= 4 * total.stderr
+        pooled = mc_market_totals(undirected, LaplaceSym(1.0), MC_SAMPLES,
                                   MC_SEED, ccp_class=1)
-        assert abs(totals.bilateral.estimate - 7.5) \
-            <= 4 * totals.bilateral.stderr
-        assert abs(totals.multilateral.estimate - 8.875) \
-            <= 4 * totals.multilateral.stderr
-        tri_totals = mc_market_totals(triangle_directed(), LaplaceSym(1.0),
+        assert abs(pooled.estimate - 8.875) <= 4 * pooled.stderr
+        tri_pooled = mc_market_totals(triangle_directed(), LaplaceSym(1.0),
                                       MC_SAMPLES, MC_SEED, ccp_class=1)
-        assert abs(tri_totals.multilateral.estimate - 1.5) \
-            <= 4 * tri_totals.multilateral.stderr
+        assert abs(tri_pooled.estimate - 1.5) <= 4 * tri_pooled.stderr
         # one non-balanced orientation entails 5/2
         skew = Market(("v1", "v2", "v3"), 1,
                       (Link("v1", "v2", 1, True), Link("v3", "v2", 1, True),
                        Link("v1", "v3", 1, True)), directed=True)
-        skew_totals = mc_market_totals(skew, LaplaceSym(1.0), MC_SAMPLES,
+        skew_pooled = mc_market_totals(skew, LaplaceSym(1.0), MC_SAMPLES,
                                        MC_SEED, ccp_class=1)
-        assert abs(skew_totals.multilateral.estimate - 2.5) \
-            <= 4 * skew_totals.multilateral.stderr
+        assert abs(skew_pooled.estimate - 2.5) <= 4 * skew_pooled.stderr
         # normal closed forms across the criterion-5 grid
         for sigma in SIGMAS:
             for k in KS:

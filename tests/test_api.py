@@ -1,11 +1,15 @@
 """The public surface: every ``__all__`` entry and package re-export
-resolves to a real object, and the package's modules import each other
-without a cycle."""
+resolves to a real object, the package's modules import each other
+without a cycle, and the README's library quick start runs."""
 
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import netexposure
@@ -66,3 +70,16 @@ def test_module_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+def test_readme_library_quick_start_runs():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    namespace = {}
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        exec(code, namespace)
+    report, mc = namespace["report"], namespace["mc"]
+    assert report.market_total_exact == Fraction(3, 2)
+    assert abs(mc.estimate - 1.5) <= 4 * mc.stderr
+    assert out.getvalue().splitlines()[-1] == repr(mc)

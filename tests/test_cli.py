@@ -10,14 +10,19 @@ import pytest
 from netexposure import (
     Bilateral,
     Custom,
+    Exponential,
+    Gamma,
     LaplaceSym,
     Multilateral,
     NormalSym,
     UniformSym,
+    charfn_of,
     hilbert_deriv_at_zero,
+    hilbert_eval,
     netting_set_cf,
     netting_sets,
     parse_market,
+    pos_abs_cf,
     serialize_market,
 )
 from netexposure.transforms import ToleranceError
@@ -640,3 +645,107 @@ def test_hilbert_eval_at_an_overflowing_uniform_width_prints_one_reason(
     assert captured.err == (f"numeric failure: half width {width:g} times t "
                             "leaves the floating-point range\n")
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# Input error paths
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("classes", [0, -3])
+def test_class_count_below_one_exits_one(tmp_path, capsys, classes):
+    from netexposure import MarketError
+    from netexposure.io import parse_market_data
+
+    data = {"participants": ["a"], "classes": classes, "links": [],
+            "dist": {"type": "laplace"}}
+    with pytest.raises(MarketError, match="at least one derivative class"):
+        parse_market_data(data)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: market needs at least one derivative "
+                            "class\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf"),
+                                         ("-Infinity", "-inf"),
+                                         ("1e400", "inf")])
+def test_non_finite_weight_exits_one(tmp_path, capsys, text, shown):
+    # Python's json reads NaN, Infinity and an overflowing literal
+    path = tmp_path / "m.json"
+    path.write_text('{"participants": ["a", "b"], "classes": 1, "links": '
+                    '[{"from": "a", "to": "b", "class": 1, "weight": '
+                    f'{text}}}], "dist": {{"type": "laplace"}}}}')
+    assert main(["analyze", "--market", str(path)]) == 1
+    assert capsys.readouterr().err == (f"error: links[0]: realised weight "
+                                       f"{shown} is not finite\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare-netting", "--class", "9"],
+    ["mc-check", "--convention", "multilateral:0", "--samples", "100"],
+])
+def test_unknown_pooled_class_exits_one(tmp_path, capsys, argv):
+    path = market_file(tmp_path, triangle_directed(), None, LaplaceSym(1.0))
+    assert main([*argv, "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "unknown class" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("sets, message", [
+    ((("z", (0,)),), "unknown participant 'z' in custom partition"),
+    ((("v", (0,)), ("v", ())), "empty netting set for 'v'"),
+])
+def test_malformed_custom_partition_exits_one(tmp_path, capsys, sets,
+                                              message):
+    path = market_file(tmp_path, two_vertex_market(1), Custom(sets=sets),
+                       LaplaceSym(1.0))
+    assert main(["analyze", "--market", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("dist", [Gamma(2.0, 1.0), Exponential(1.0)],
+                         ids=repr)
+@pytest.mark.parametrize("argv", [
+    ["analyze"],
+    ["compare-netting", "--class", "1"],
+    ["mc-check", "--samples", "100"],
+])
+def test_one_sided_market_law_exits_one(tmp_path, capsys, dist, argv):
+    path = market_file(tmp_path, triangle_directed(), None, dist)
+    assert main([*argv, "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert ("market positions need a two-sided symmetric distribution"
+            in captured.err)
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("dist, flags", [
+    (LaplaceSym(1.0), ["laplace"]),
+    (NormalSym(0.7), ["normal", "--sigma", "0.7"]),
+    (UniformSym(2.0), ["uniform", "--half-width", "2"]),
+], ids=["laplace", "normal", "uniform"])
+def test_hilbert_eval_of_the_positive_side(capsys, dist, flags):
+    assert main(["hilbert-eval", "--dist", *flags, "--side", "pos",
+                 "--omega", "0.7"]) == 0
+    value = hilbert_eval(pos_abs_cf(charfn_of(dist)), 0.7).value
+    assert capsys.readouterr().out.splitlines()[0] == (
+        f"H{{phi^1}}(0.7) = {value.real:+.12g}{value.imag:+.12g}i")
+
+
+def test_module_entry_point_prints_help():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import netexposure
+
+    src = str(Path(netexposure.__file__).parents[1])
+    result = subprocess.run([sys.executable, "-m", "netexposure.cli",
+                             "--help"], capture_output=True, text=True,
+                            env={"PYTHONPATH": src}, timeout=60)
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: netexposure")

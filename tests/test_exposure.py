@@ -653,3 +653,10 @@ def test_shortcut_is_the_exact_value_on_laplace_and_uniform_sets(
     short = eulerian_shortcut(m, hub_set(m), dist)
     exact = float(exact_exposure(dist, n_plus, n_minus, n_sym))
     assert short.hex() == exact.hex()
+
+
+def test_empty_set_warns_and_is_worth_exactly_zero():
+    with pytest.warns(UserWarning, match="empty netting set for 'v'"):
+        e = expected_exposure(path_market(), NettingSet("v", (), "custom"),
+                              LaplaceSym(1.0))
+    assert (e.value, e.method, e.exact) == (0.0, "closed-form", Fraction(0))

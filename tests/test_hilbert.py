@@ -422,3 +422,11 @@ def test_gaussian_product_transform_is_the_closed_form_on_arrays():
     assert values.shape == ws.shape
     for w, value in zip(ws.ravel(), values.ravel()):
         assert abs(value - hilbert(f, float(w))) <= 1e-15
+
+
+def test_negative_one_sided_transform_is_plus_i_f():
+    f = neg_abs_cf(charfn_of(Gamma(2.0, 0.5)))
+    assert f.side == -1
+    assert neg_abs_cf(f) is f
+    for w in OMEGA_GRID:
+        assert hilbert_one_sided(f, w) == 1j * complex(f.fn(w))

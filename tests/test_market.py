@@ -2,6 +2,7 @@
 deterministic realised-weight risk measures."""
 
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -80,6 +81,27 @@ def test_all_violations_reported_together():
                (Link("v", "v", 1, False), Link("v", "w", 9, False)))
     errors = validate_market(m)
     assert len(errors) == 2
+
+
+@pytest.mark.parametrize("classes", [0, -3])
+def test_market_needs_a_derivative_class(classes):
+    m = Market(("a",), classes, ())
+    assert validate_market(m) == [
+        "market needs at least one derivative class"]
+    with pytest.raises(MarketError, match="at least one derivative class"):
+        require_valid(m)
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf"),
+                                    -float("inf")])
+def test_non_finite_weight_rejected(weight):
+    m = Market(("v", "w"), 1, (Link("v", "w", 1, False, weight=weight),))
+    message = f"links[0]: realised weight {weight!r} is not finite"
+    assert validate_market(m) == [message]
+    with pytest.raises(MarketError, match=re.escape(message)):
+        current_bilateral_risk(m)
+    with pytest.raises(MarketError, match=re.escape(message)):
+        current_multilateral_risk(m, 1)
 
 
 def test_violation_messages_in_link_order():
@@ -631,3 +653,14 @@ def test_undirected_weight_sign_relative_to_source():
     m = Market(("v", "w"), 1, (Link("v", "w", 1, False, weight=-3.0),))
     # v's position is -3, so w holds the claim
     assert current_bilateral_risk(m) == 3.0
+
+
+def test_degree_profile_of_an_unknown_class_rejected():
+    with pytest.raises(MarketError, match=r"unknown class 9 \(market has 1\)"):
+        degree_profile(path_market(), "v", 9)
+
+
+def test_orientations_of_a_directed_class_rejected():
+    with pytest.raises(MarketError,
+                       match="class 1 already contains directed links"):
+        next(enumerate_orientations(triangle_directed(), 1))

@@ -42,7 +42,7 @@ def test_seed_changes_estimates():
     m = triangle_directed()
     a = mc_market_totals(m, LaplaceSym(1.0), 50_000, 3)
     b = mc_market_totals(m, LaplaceSym(1.0), 50_000, 4)
-    assert a.bilateral.estimate != b.bilateral.estimate
+    assert a.estimate != b.estimate
 
 
 def test_draws_are_order_independent():
@@ -148,7 +148,7 @@ def test_standard_error_convergence_rate():
     n = 100_000
     small = mc_market_totals(m, LaplaceSym(1.0), n, 5)
     large = mc_market_totals(m, LaplaceSym(1.0), 4 * n, 5)
-    ratio = large.bilateral.stderr / small.bilateral.stderr
+    ratio = large.stderr / small.stderr
     assert 0.4 <= ratio <= 0.6
 
 
@@ -184,8 +184,8 @@ def test_sampled_markets_satisfy_double_count_identity():
 def test_vectorised_totals_match_deterministic_measures():
     m = two_tier(True)
     n = 25
-    bilateral, pooled = market_total_samples(m, LaplaceSym(1.0), n, 23,
-                                             ccp_class=1)
+    bilateral = market_total_samples(m, LaplaceSym(1.0), n, 23)
+    pooled = market_total_samples(m, LaplaceSym(1.0), n, 23, ccp_class=1)
     for j, sampled in enumerate(materialise(m, LaplaceSym(1.0), n, 23)):
         assert bilateral[j] == pytest.approx(
             current_bilateral_risk(sampled), abs=1e-12)
@@ -197,10 +197,12 @@ def test_vectorised_totals_match_deterministic_measures():
 
 
 def test_market_totals_against_analytic_triangle():
-    tot = mc_market_totals(triangle_directed(), LaplaceSym(1.0),
-                           1_000_000, 42, ccp_class=1)
-    assert abs(tot.multilateral.estimate - 1.5) < 4 * tot.multilateral.stderr
-    assert abs(tot.bilateral.estimate - 3.0) < 4 * tot.bilateral.stderr
+    pooled = mc_market_totals(triangle_directed(), LaplaceSym(1.0),
+                              1_000_000, 42, ccp_class=1)
+    bilateral = mc_market_totals(triangle_directed(), LaplaceSym(1.0),
+                                 1_000_000, 42)
+    assert abs(pooled.estimate - 1.5) < 4 * pooled.stderr
+    assert abs(bilateral.estimate - 3.0) < 4 * bilateral.stderr
 
 
 def test_unknown_ccp_class_rejected():
