@@ -21,6 +21,7 @@ from functools import cache, partial
 
 from .charfn import Distribution, LaplaceSym, NormalSym
 from .exposure import (
+    DEFAULT_TOL,
     exact_exposure,
     expected_bilateral_market,
     expected_multilateral_market,
@@ -119,7 +120,7 @@ class AdvantageReport:
 
 
 def ccp_advantage(m: Market, dist: Distribution, cls: int,
-                  tol: float = 1e-7) -> AdvantageReport:
+                  tol: float = DEFAULT_TOL) -> AdvantageReport:
     """Compare expected market exposure with and without a CCP in one
     class; strict inequality decides, and ties are flagged rather than
     counted as an advantage."""

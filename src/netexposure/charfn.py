@@ -10,6 +10,7 @@ products and first-moment extraction.
 """
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Callable, Iterable, Sequence
@@ -370,8 +371,9 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
     Structure tags combine: rational forms merge pole multisets and
     multiply constants, Gaussian variances add, even-real parity and
     one-sidedness survive only if shared by every factor, and known means
-    add. A product of several factors is no catalog law, so it carries no
-    ``dist``. The empty product is the constant 1.
+    add. A factor repeated k times adds k times its variance and mean, in
+    one step. A product of several factors is no catalog law, so it
+    carries no ``dist``. The empty product is the constant 1.
     """
     fs = list(factors)
     if not fs:
@@ -381,12 +383,12 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
 
     # a repeated factor is evaluated once per call; the product keeps
     # the original order, so the result is the same to the last bit
-    distinct = list({id(f.fn): f.fn for f in fs}.values())
-    slot = {id(ev): k for k, ev in enumerate(distinct)}
-    order = [slot[id(f.fn)] for f in fs]
+    repeats = Counter(fs)
+    slot = {f: k for k, f in enumerate(repeats)}
+    order = [slot[f] for f in fs]
 
     def fn(t):
-        values = [ev(t) for ev in distinct]
+        values = [f.fn(t) for f in repeats]
         out = values[order[0]]
         for k in order[1:]:
             out = out * values[k]
@@ -397,12 +399,13 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         rational = _merge_rational([f.rational for f in fs])
     gaussian = None
     if all(f.gaussian_variance is not None for f in fs):
-        gaussian = float(sum(f.gaussian_variance for f in fs))
+        gaussian = float(sum(k * f.gaussian_variance
+                             for f, k in repeats.items()))
     sides = {f.side for f in fs}
     side = sides.pop() if len(sides) == 1 and None not in sides else None
     mean = None
     if all(f.mean is not None for f in fs):
-        mean = float(sum(f.mean for f in fs))
+        mean = float(sum(k * f.mean for f, k in repeats.items()))
     return CharFn(
         fn=fn,
         rational=rational,

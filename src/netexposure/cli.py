@@ -12,7 +12,7 @@ from dataclasses import fields
 
 from .advantage import ccp_advantage, min_participants_table
 from .charfn import LAWS, MomentError, cf_product, charfn_of
-from .exposure import expected_market
+from .exposure import DEFAULT_TOL, expected_market
 from .transforms import (
     ToleranceError,
     TruncationError,
@@ -158,7 +158,7 @@ def main(argv=None) -> int:
                     "via characteristic functions and Hilbert transforms.",
         epilog=f"exit codes: {EXIT_OK} ok, {EXIT_INVALID} invalid input, "
                f"{EXIT_NUMERIC} numeric failure")
-    parser.add_argument("--tol", type=float, default=1e-7,
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="absolute tolerance for numeric paths")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,9 +11,9 @@ the derivative form of the max-formula for the clipped variable's c.f.
 (the H(0) constant drops under differentiation, and E(Y) vanishes for
 balanced or undirected sets). The value depends only on the set's
 signature and the law, so a market evaluation computes each signature
-once. Laplace and uniform sets skip the transform: ``exact_exposure``
-gives their exact rational value, which is what makes whole-market
-regressions bit-reproducible.
+once. Laplace and uniform sets, and sets of debts only, skip the
+transform: ``exact_exposure`` gives their exact rational value, which is
+what makes whole-market regressions bit-reproducible.
 """
 
 import math
@@ -29,12 +29,10 @@ from .charfn import (
     Distribution,
     LaplaceSym,
     MomentError,
-    NormalSym,
     UniformSym,
     charfn_of,
     cf_product,
     _richardson_central,
-    _square,
 )
 from .transforms import (
     _hilbert_fn,
@@ -77,7 +75,7 @@ class SetExposure(NamedTuple):
     kind: str
     links: tuple[int, ...]
     value: float
-    method: str  # "closed-form" (Laplace, uniform) | "shortcut" | "numeric"
+    method: str  # "closed-form" | "shortcut" | "numeric"
     error: float
     exact: Fraction | None = None
 
@@ -100,7 +98,8 @@ def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
 def exact_exposure(dist: Distribution, plus: int, minus: int,
                    sym: int) -> Fraction | None:
     """Exact E(max[Y; 0]) of a (claims, debts, undirected) signature, or
-    None for laws without one. Laplace, scale b: Y = G_a - G_c, sums of
+    None for laws without one. A set of debts only is never positive, so
+    it is exactly 0 under any law. Laplace, scale b: Y = G_a - G_c, sums of
     a = plus + sym and c = minus + sym unit exponentials, and their
     memoryless race gives b * sum_{j<a} C(c-1+j, j) (a-j) / 2^(c+j).
     Uniform, half width h: Y/h = sum c_i U_i - (minus + sym) over unit
@@ -108,6 +107,8 @@ def exact_exposure(dist: Distribution, plus: int, minus: int,
     finite difference of x_+^(n+1)/(n+1)! (Irwin-Hall, box spline) cancels
     heavily, so it is summed in integers.
     """
+    if plus == sym == 0:
+        return Fraction(0)
     if isinstance(dist, LaplaceSym):
         a, c = plus + sym, minus + sym
         if c == 0:
@@ -133,6 +134,12 @@ def _finite(x: Fraction | float) -> float:
     return float(x)
 
 
+def _require_two_sided(dist: Distribution) -> None:
+    if not dist.two_sided:
+        raise ValueError("market positions need a two-sided symmetric "
+                         f"distribution, got {dist!r}")
+
+
 def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
     """C.f. of the net position of a netting set: the product of one
     signed-absolute-value factor per claim or debt and one symmetric
@@ -140,22 +147,14 @@ def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
     real and even (each claim factor pairs with a debt conjugate), which
     is what unlocks the parity shortcuts downstream.
     """
-    if not dist.two_sided:
-        raise ValueError("market positions need a two-sided symmetric "
-                         f"distribution, got {dist!r}")
+    _require_two_sided(dist)
     plus, minus, sym = _signature(s.signs)
     if not s.items:
         warnings.warn(f"empty netting set for {s.owner!r}: exposure is 0",
                       stacklevel=2)
     base = charfn_of(dist)
-    factors = []
-    if plus:
-        factors.extend([pos_abs_cf(base)] * plus)
-    if minus:
-        factors.extend([neg_abs_cf(base)] * minus)
-    if sym:
-        factors.extend([base] * sym)
-    f = cf_product(factors)
+    claim = pos_abs_cf(base)
+    f = cf_product([claim] * plus + [neg_abs_cf(claim)] * minus + [base] * sym)
     if plus == minus and not f.even_real:
         f = replace(f, even_real=True)
     return f
@@ -181,13 +180,16 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
                       cache: dict | None = None) -> SetExposure:
     """Expected exposure of one netting set.
 
-    Closed forms where the structure allows: every Laplace and uniform
-    set is exact (``exact_exposure``), all-debt sets are worthless claims
-    (0), all-claim sets pay the full mean. Balanced or undirected sets
-    otherwise take the parity shortcut E = 1/2 E|Y|; everything else runs
-    the general two-term formula. The error is half the quadrature's error
-    estimate for E|Y|, and 0 for closed forms. ``cache`` maps signatures
-    to results; share one only between calls with the same law and tol.
+    Two tiers. A set is exact where the law allows (``exact_exposure``:
+    every Laplace and uniform set, and every set of debts only). Any
+    other set is E = 1/2 (claims - debts) E|X| + 1/2 E|Y|, with E|Y| the
+    slope at zero of the transform of the set's c.f.
+    (``hilbert_deriv_at_zero``). Its method is "closed-form" where that
+    slope is analytic (Gaussian or one-sided c.f.s), "shortcut" where
+    claims and debts balance (the first term vanishes) and "numeric"
+    otherwise. The error is half the quadrature's error estimate for
+    E|Y|, and 0 for closed forms. ``cache`` maps signatures to results;
+    share one only between calls with the same law and tol.
     """
     owner, items, kind = s
     if not items:
@@ -208,34 +210,17 @@ def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
                         tol: float, signature: tuple[int, int, int]
                         ) -> tuple[float, str, float, Fraction | None]:
     """Uncached (value, method, error, exact) of a nonempty set."""
-    if not dist.two_sided:
-        raise ValueError("market positions need a two-sided symmetric "
-                         f"distribution, got {dist!r}")
+    _require_two_sided(dist)
     plus, minus, sym = signature
     exact = exact_exposure(dist, plus, minus, sym)
     if exact is not None:
         return _finite(exact), "closed-form", 0.0, exact
-    if sym == 0 and plus == 0:
-        # every item is a debt: the net position is never positive
-        return 0.0, "closed-form", 0.0, Fraction(0)
-    if sym == 0 and minus == 0:
-        # every item is a claim: the set pays its full mean
-        return _finite(plus * dist.abs_mean), "closed-form", 0.0, None
-    balanced = plus == minus
-    if balanced and plus == 0 and isinstance(dist, NormalSym):
-        variance = sym * _square(dist, dist.sigma)
-        return 0.5 * math.sqrt(2.0 * variance / math.pi), "closed-form", \
-            0.0, None
-
-    f = netting_set_cf(m, s, dist)
-    deriv, error = hilbert_deriv_at_zero(f, tol, with_error=True)
-    if balanced:
-        value = 0.5 * deriv
-        method = "shortcut"
-    else:
-        value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * deriv
-        method = "numeric"
-    return max(value, 0.0), method, 0.5 * error, None
+    abs_y, error = hilbert_deriv_at_zero(netting_set_cf(m, s, dist), tol,
+                                         with_error=True)
+    value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * abs_y
+    method = ("closed-form" if error == 0.0
+              else "shortcut" if plus == minus else "numeric")
+    return _finite(max(value, 0.0)), method, 0.5 * error, None
 
 
 def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
@@ -313,10 +298,7 @@ def expected_bilateral_market(m: Market, dist: Distribution,
     """Expected exposure under bilateral netting: the ordered double sum
     over creditor-perspective pairs, so each unordered pair contributes
     from both sides (the pair view in the report counts it once)."""
-    require_valid(m)
-    sets = netting_sets(m, Bilateral())
-    return _aggregate(m, sets, dist, tol, convention="bilateral",
-                      components_of={"bilateral": "bilateral"})
+    return expected_market(m, dist, Bilateral(), tol)
 
 
 def expected_multilateral_market(m: Market, dist: Distribution,
@@ -325,25 +307,24 @@ def expected_multilateral_market(m: Market, dist: Distribution,
     """Expected exposure with one class centrally cleared: that class is
     pooled per participant, the remaining classes stay bilateral, and the
     report carries both components plus their sum."""
-    require_valid(m)
-    sets = netting_sets(m, Multilateral(ccp_class))
-    report = _aggregate(m, sets, dist, tol,
-                        convention=f"multilateral:{ccp_class}",
-                        components_of={"multilateral": "multilateral",
-                                       "bilateral": "bilateral_rest"})
-    report.components.setdefault("multilateral", 0.0)
-    report.components.setdefault("bilateral_rest", 0.0)
-    return report
+    return expected_market(m, dist, Multilateral(ccp_class), tol)
 
 
 def expected_market(m: Market, dist: Distribution, convention: Convention,
                     tol: float = DEFAULT_TOL) -> ExposureReport:
     """Expected exposure under any convention (custom partitions included)."""
     require_valid(m)
-    if isinstance(convention, Bilateral):
-        return expected_bilateral_market(m, dist, tol)
-    if isinstance(convention, Multilateral):
-        return expected_multilateral_market(m, dist, convention.cls, tol)
     sets = netting_sets(m, convention)
+    if isinstance(convention, Bilateral):
+        return _aggregate(m, sets, dist, tol, convention="bilateral",
+                          components_of={"bilateral": "bilateral"})
+    if isinstance(convention, Multilateral):
+        report = _aggregate(m, sets, dist, tol,
+                            convention=f"multilateral:{convention.cls}",
+                            components_of={"multilateral": "multilateral",
+                                           "bilateral": "bilateral_rest"})
+        report.components.setdefault("multilateral", 0.0)
+        report.components.setdefault("bilateral_rest", 0.0)
+        return report
     return _aggregate(m, sets, dist, tol, convention="custom",
                       components_of={})

@@ -504,8 +504,7 @@ def hilbert_deriv_at_zero(f: CharFn, tol: float = 1e-7, *,
     if f.gaussian_variance is not None:
         value, error = math.sqrt(2.0 * f.gaussian_variance / math.pi), 0.0
     elif f.side in (+1, -1):
-        value = abs(f.mean if f.mean is not None else cf_mean(f))
-        error = 0.0
+        value, error = abs(cf_mean(f)), 0.0
     else:
         value, error = _abs_mean(f.fn, tol)
     value, error = float(value), float(error)

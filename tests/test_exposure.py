@@ -18,6 +18,7 @@ from netexposure import (
     NettingSet,
     NormalSym,
     UniformSym,
+    Exponential,
     Gamma,
     enumerate_orientations,
     eulerian_shortcut,
@@ -180,6 +181,38 @@ def test_all_debt_set_is_worthless():
     m = hub_market(0, 3)
     e = expected_exposure(m, hub_set(m), LaplaceSym(1.0))
     assert e.value == 0.0 and e.exact == 0
+
+
+@pytest.mark.parametrize("dist", [Gamma(2.0, 1.0), Exponential(1.0)],
+                         ids=repr)
+@pytest.mark.parametrize("n_plus, n_minus, n_sym",
+                         [(1, 0, 0), (3, 0, 0), (0, 1, 0), (0, 4, 0),
+                          (0, 0, 1), (0, 0, 3), (1, 1, 0), (2, 1, 0),
+                          (1, 2, 1), (0, 2, 2)])
+def test_one_sided_laws_are_rejected_for_every_set(dist, n_plus, n_minus,
+                                                   n_sym):
+    # an all-debt set would be exactly 0 under any law, but a one-sided
+    # law is no market position law at all
+    m = hub_market(n_plus, n_minus, n_sym)
+    with pytest.raises(ValueError, match="two-sided"):
+        expected_exposure(m, hub_set(m), dist)
+
+
+@pytest.mark.parametrize("sigma", [1.0, 0.3, 7.0, 12.512581759178156,
+                                   1e-100, 1e100])
+def test_one_sign_normal_sets_keep_their_closed_forms_to_the_bit(sigma):
+    dist = NormalSym(sigma)
+    for k in range(1, 41):
+        claims, debts, undirected = (
+            expected_exposure(m, hub_set(m), dist)
+            for m in (hub_market(k, 0), hub_market(0, k), hub_market(0, 0, k)))
+        want = 0.5 * math.sqrt(2.0 * (k * (sigma * sigma)) / math.pi)
+        assert claims.value.hex() == (k * dist.abs_mean).hex()
+        assert undirected.value.hex() == want.hex()
+        assert debts.value.hex() == (0.0).hex()
+        assert debts.exact == 0 and type(debts.exact) is Fraction
+        for e in (claims, debts, undirected):
+            assert (e.method, e.error) == ("closed-form", 0.0)
 
 
 def test_all_claim_set_pays_full_mean():
@@ -628,10 +661,10 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
         report = expected_market(m, NormalSym(1.0), convention)
         sets = [s for v in m.participants
                 for s in netting_sets(m, convention).get(v, [])]
-        numeric = [signature(s)
+        inexact = [signature(s)
                    for s, e in zip(sets, report.per_netting_set)
-                   if e.method != "closed-form"]
-        assert len(calls) == len(set(numeric)) < len(numeric)
+                   if e.exact is None]
+        assert len(calls) == len(set(inexact)) < len(inexact)
         # every Laplace and uniform set is exact: no derivative at all
         for dist in (UniformSym(1.0), LaplaceSym(1.0)):
             calls.clear()
