@@ -148,46 +148,28 @@ class Pole:
 
 @dataclass(frozen=True)
 class RationalForm:
-    """Factored rational function  c * numer(t) / prod_j (t - p_j)^(m_j).
+    """Factored rational function  c / prod_j (t - p_j)^(m_j).
 
-    ``numer`` holds ascending polynomial coefficients. The pole list is the
-    exact catalog data; nothing here is obtained by root finding.
+    Every rational c.f. of the catalog (Laplace powers, integer-shape
+    gamma laws, their mirrors and products) has a constant numerator. The
+    pole list is the exact catalog data; nothing here is obtained by root
+    finding.
     """
 
     constant: complex
     poles: tuple[Pole, ...]
-    numer: tuple[complex, ...] = (1.0 + 0.0j,)
-
-    @property
-    def denominator_degree(self) -> int:
-        return sum(p.order for p in self.poles)
-
-    @property
-    def numerator_degree(self) -> int:
-        deg = 0
-        for k, c in enumerate(self.numer):
-            if c != 0:
-                deg = k
-        return deg
-
-    def decays(self) -> bool:
-        return self.numerator_degree < self.denominator_degree
 
     def __call__(self, t):
         t = np.asarray(t, dtype=complex)
-        num = np.zeros_like(t)
-        for c in reversed(self.numer):
-            num = num * t + c
         den = np.ones_like(t)
         for p in self.poles:
             den = den * (t - p.location) ** p.order
-        return self.constant * num / den
+        return self.constant / den
 
     def conjugate(self) -> "RationalForm":
         return RationalForm(
             constant=self.constant.conjugate(),
             poles=tuple(Pole(p.location.conjugate(), p.order) for p in self.poles),
-            numer=tuple(c.conjugate() for c in self.numer),
         )
 
 
@@ -208,7 +190,6 @@ class CharFn:
         hilbert_closed_form: known closed form of the transform
             H{f}(omega), attached for catalog entries that have one but do
             not fit the rational/Gaussian/one-sided tiers.
-        label: short human-readable description.
     """
 
     fn: Callable = field(repr=False)
@@ -219,7 +200,6 @@ class CharFn:
     mean: float | None = None
     dist: Distribution | None = None
     hilbert_closed_form: Callable | None = field(default=None, repr=False)
-    label: str = ""
 
     def __call__(self, t):
         return self.fn(t)
@@ -254,8 +234,7 @@ def _sinc_hilbert(c: float):
                    lambda x: (1.0 - np.cos(x)) / x)
 
 
-def _gamma_cf(shape: float, scale: float, label: str,
-              dist: Distribution | None) -> CharFn:
+def _gamma_cf(shape: float, scale: float, dist: Distribution) -> CharFn:
     """(1 - i*beta*t)^(-alpha); rational with an exact pole list when the
     shape is an integer, branch-cut one-sided function otherwise."""
     b = scale
@@ -278,7 +257,6 @@ def _gamma_cf(shape: float, scale: float, label: str,
         side=+1,
         mean=shape * scale,
         dist=dist,
-        label=label,
     )
 
 
@@ -303,7 +281,7 @@ def charfn_of(spec: Distribution) -> CharFn:
             poles=(Pole(1j / b, 1), Pole(-1j / b, 1)),
         )
         return CharFn(fn=fn, rational=rational, even_real=True, mean=0.0,
-                      dist=spec, label=f"laplace(b={b:g})")
+                      dist=spec)
     if isinstance(spec, NormalSym):
         v = _square(spec, spec.sigma)
 
@@ -312,7 +290,7 @@ def charfn_of(spec: Distribution) -> CharFn:
             return np.exp(-0.5 * v * t * t).astype(complex)
 
         return CharFn(fn=fn, gaussian_variance=v, even_real=True, mean=0.0,
-                      dist=spec, label=f"normal(sigma={spec.sigma:g})")
+                      dist=spec)
     if isinstance(spec, UniformSym):
         c = spec.half_width
         return CharFn(
@@ -321,14 +299,11 @@ def charfn_of(spec: Distribution) -> CharFn:
             mean=0.0,
             dist=spec,
             hilbert_closed_form=_sinc_hilbert(c),
-            label=f"uniform(c={c:g})",
         )
     if isinstance(spec, Gamma):
-        return _gamma_cf(spec.shape, spec.scale,
-                         f"gamma(a={spec.shape:g},b={spec.scale:g})", spec)
+        return _gamma_cf(spec.shape, spec.scale, spec)
     if isinstance(spec, Exponential):
-        return _gamma_cf(1.0, spec.scale, f"exponential(theta={spec.scale:g})",
-                         spec)
+        return _gamma_cf(1.0, spec.scale, spec)
     raise TypeError(f"unknown distribution spec: {spec!r}")
 
 
@@ -341,7 +316,6 @@ _CONST_ONE = CharFn(
     even_real=True,
     mean=0.0,
     hilbert_closed_form=lambda w: np.zeros(np.shape(w)) if np.shape(w) else 0.0,
-    label="1",
 )
 
 
@@ -353,16 +327,8 @@ def _merge_rational(forms: Sequence[RationalForm]) -> RationalForm:
     for f in forms:
         for p in f.poles:
             poles[p.location] = poles.get(p.location, 0) + p.order
-    numer = (1.0 + 0j,)
-    for f in forms:
-        out = [0j] * (len(numer) + len(f.numer) - 1)
-        for i, a in enumerate(numer):
-            for j, b in enumerate(f.numer):
-                out[i + j] += a * b
-        numer = tuple(out)
     return RationalForm(constant=constant,
-                        poles=tuple(Pole(p, m) for p, m in poles.items()),
-                        numer=numer)
+                        poles=tuple(Pole(p, m) for p, m in poles.items()))
 
 
 def cf_product(factors: Iterable[CharFn]) -> CharFn:
@@ -413,7 +379,6 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         side=side,
         even_real=all(f.even_real for f in fs),
         mean=mean,
-        label=" * ".join(f.label or "?" for f in fs),
     )
 
 

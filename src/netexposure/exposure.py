@@ -35,6 +35,7 @@ from .charfn import (
     _richardson_central,
 )
 from .transforms import (
+    DEFAULT_TOL,
     _hilbert_fn,
     hilbert_deriv_at_zero,
     neg_abs_cf,
@@ -64,8 +65,6 @@ __all__ = [
     "expected_bilateral_market",
     "expected_multilateral_market",
 ]
-
-DEFAULT_TOL = 1e-7
 
 
 class SetExposure(NamedTuple):
@@ -160,7 +159,7 @@ def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
     return f
 
 
-def exposure_cf(f: CharFn, tol: float = 1e-8) -> CharFn:
+def exposure_cf(f: CharFn, tol: float = DEFAULT_TOL) -> CharFn:
     """C.f. of the clipped position max[Y; 0] given the c.f. of Y:
 
         1/2 [1 + phi(t)] + i/2 [H{phi}(t) - H{phi}(0)].
@@ -172,7 +171,7 @@ def exposure_cf(f: CharFn, tol: float = 1e-8) -> CharFn:
     def fn(t):
         return 0.5 * (1.0 + inner(t)) + 0.5j * (transform(t) - h0)
 
-    return CharFn(fn=fn, label=f"max[{f.label or 'Y'}; 0]")
+    return CharFn(fn=fn)
 
 
 def expected_exposure(m: Market, s: NettingSet, dist: Distribution,

@@ -2,9 +2,10 @@
 
 Three closed-form tiers plus a numerical fallback for the transform:
 
-* residue calculus for factored rational functions (poles off the real
-  axis, decay at infinity): H{f}(w) = 2i * sum of residues of f(z)/(w-z)
-  over upper-half-plane poles, minus i*f(w) for the simple real pole at w;
+* residue calculus for the factored rational functions c / prod_j
+  (t - p_j)^(m_j) (at least one pole, none on the real axis): H{f}(w) =
+  2i * sum of residues of f(z)/(w-z) over upper-half-plane poles, minus
+  i*f(w) for the simple real pole at w;
 * the Dawson-function form for Gaussian shapes;
 * the analytic-signal rule for one-sided functions: -i*f (positive side),
   +i*f (negative side);
@@ -17,12 +18,15 @@ else one regular quadrature, E|Y| = (2/pi) * integral_0^inf
 (1 - Re phi(t)) / t^2 dt, on the principal value's adaptive panels. For
 a symmetric X with c.f. phi, the c.f. of |X| is the analytic signal
 phi + i*H{phi}.
+
+Every numeric path takes an absolute tolerance; a call without one uses
+DEFAULT_TOL, which is also the CLI's --tol default.
 """
 
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -51,6 +55,8 @@ __all__ = [
     "ToleranceError",
     "TruncationError",
 ]
+
+DEFAULT_TOL = 1e-7  # for calls that name no tol; also the CLI's --tol default
 
 
 class ToleranceError(RuntimeError):
@@ -140,19 +146,6 @@ def hilbert_gaussian(variance: float, omega):
 # Residue engine
 # ---------------------------------------------------------------------------
 
-def _poly_shift(coeffs: Sequence[complex], a: complex,
-                order: int) -> list[complex]:
-    """Taylor coefficients of the polynomial around z = a, up to 'order'."""
-    n = len(coeffs)
-    out = []
-    for k in range(order + 1):
-        acc = 0j
-        for j in range(n - 1, k - 1, -1):
-            acc = acc * a + coeffs[j] * math.comb(j, k)
-        out.append(acc)
-    return out
-
-
 def _series_mul(a: list[complex], b: list[complex],
                 order: int) -> list[complex]:
     out = [0j] * (order + 1)
@@ -172,7 +165,7 @@ def _upper_residue(form: RationalForm, pole: Pole, omega: float) -> complex:
     """
     p, m = pole.location, pole.order
     order = m - 1
-    series = _poly_shift(form.numer, p, order)
+    series = [1 + 0j] + [0j] * order
     # geometric series of 1/(omega - z) around p
     wp = omega - p
     geo = [(1.0 / wp) ** (k + 1) for k in range(order + 1)]
@@ -195,15 +188,15 @@ def _upper_residue(form: RationalForm, pole: Pole, omega: float) -> complex:
 def hilbert_rational(f: CharFn, omega: float) -> complex:
     """Residue-calculus transform of a factored rational function.
 
-    Requires every pole off the real axis and decay at infinity (numerator
-    degree strictly below denominator degree). ToleranceError when the
+    Requires at least one pole, so that the function vanishes at infinity,
+    and every pole off the real axis. ToleranceError when the
     residues leave the floating-point range (poles and constants of an
     extreme scale raised to a high power).
     """
     form = f.rational
     if form is None:
         raise ValueError("characteristic function carries no rational form")
-    if not form.decays():
+    if not form.poles:
         raise ValueError("rational function does not vanish at infinity")
     for p in form.poles:
         if p.location.imag == 0:
@@ -246,8 +239,7 @@ def _conjugate_cf(f: CharFn) -> CharFn:
         rational=f.rational.conjugate() if f.rational is not None else None,
         side=-f.side if f.side is not None else None,
         mean=-f.mean if f.mean is not None else None,
-        hilbert_closed_form=None,
-        label=f"mirror({f.label})" if f.label else "")
+        hilbert_closed_form=None)
 
 
 def pos_abs_cf(base: CharFn) -> CharFn:
@@ -265,10 +257,9 @@ def pos_abs_cf(base: CharFn) -> CharFn:
     if not base.even_real:
         raise ValueError("positive absolute value needs a real, even c.f. "
                          "(symmetric distribution) or a one-sided one")
-    label = f"pos_abs({base.label})"
     if isinstance(base.dist, LaplaceSym):
         return replace(charfn_of(Exponential(base.dist.scale)),
-                       dist=base.dist, label=label)
+                       dist=base.dist)
 
     inner = base.fn
     transform = _hilbert_fn(base)
@@ -278,7 +269,7 @@ def pos_abs_cf(base: CharFn) -> CharFn:
 
     mean = (base.dist.abs_mean if base.dist is not None
             else hilbert_deriv_at_zero(base))
-    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist, label=label)
+    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist)
 
 
 def neg_abs_cf(base: CharFn) -> CharFn:
@@ -412,12 +403,10 @@ def _abs_mean(fn: Callable, tol: float):
     return value + tail, error + tail * mag
 
 
-def hilbert_numeric_pv(f: CharFn | Callable, omega: float,
-                       tol: float = 1e-8) -> complex:
+def hilbert_numeric_pv(f: CharFn, omega: float,
+                       tol: float = DEFAULT_TOL) -> complex:
     """Principal-value quadrature of the transform, accurate to ~tol."""
-    fn = f.fn if isinstance(f, CharFn) else f
-    value, _ = _pv(fn, omega, tol)
-    return complex(value)
+    return hilbert_eval(f, omega, tol, "pv").value
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +414,7 @@ def hilbert_numeric_pv(f: CharFn | Callable, omega: float,
 # ---------------------------------------------------------------------------
 
 def _route(f: CharFn) -> str:
-    if f.rational is not None and f.rational.decays() and all(
+    if f.rational is not None and f.rational.poles and all(
             p.location.imag != 0 for p in f.rational.poles):
         return "residue"
     if f.gaussian_variance is not None:
@@ -435,7 +424,7 @@ def _route(f: CharFn) -> str:
     return "pv"
 
 
-def hilbert_eval(f: CharFn, omega: float, tol: float = 1e-8,
+def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
                  method: str = "auto") -> HilbertResult:
     """Transform with method provenance and an error estimate.
 
@@ -465,12 +454,12 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = 1e-8,
     raise ValueError(f"unknown method {method!r}")
 
 
-def hilbert(f: CharFn, omega: float, tol: float = 1e-8) -> complex:
+def hilbert(f: CharFn, omega: float, tol: float = DEFAULT_TOL) -> complex:
     """Hilbert transform of a characteristic function at a real point."""
     return hilbert_eval(f, omega, tol).value
 
 
-def _hilbert_fn(f: CharFn, tol: float = 1e-8) -> Callable:
+def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL) -> Callable:
     """H{f} at a scalar or an array of points: the closed form attached to
     f if it has one, Dawson's for a Gaussian shape, else ``hilbert`` point
     by point."""
@@ -478,21 +467,14 @@ def _hilbert_fn(f: CharFn, tol: float = 1e-8) -> Callable:
         return f.hilbert_closed_form
     if f.gaussian_variance is not None:
         return partial(hilbert_gaussian, f.gaussian_variance)
-
-    def transform(w):
-        ws = np.asarray(w, dtype=float)
-        out = np.array([hilbert(f, float(x), tol) for x in ws.ravel()],
-                       dtype=complex).reshape(ws.shape)
-        return out if out.shape else out[()]
-
-    return transform
+    return np.vectorize(lambda w: hilbert(f, float(w), tol), otypes=[complex])
 
 
 # ---------------------------------------------------------------------------
 # Derivative of the transform at zero
 # ---------------------------------------------------------------------------
 
-def hilbert_deriv_at_zero(f: CharFn, tol: float = 1e-7, *,
+def hilbert_deriv_at_zero(f: CharFn, tol: float = DEFAULT_TOL, *,
                           with_error: bool = False):
     """d/dw H{f}(w) at w = 0, which is E|Y| for the variable Y with c.f. f
     (E(max[Y; 0]) = 1/2 E(Y) + 1/2 dH(0) and max[Y; 0] = 1/2 (Y + |Y|)).

@@ -4,6 +4,7 @@ import json
 import re
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -227,6 +228,19 @@ def test_numeric_failure_exits_two(monkeypatch, capsys):
                  "--power", "1", "--omega", "1.0", "--method", "pv"])
     assert code == 2
     assert "numeric failure" in capsys.readouterr().err
+
+
+def test_abs_mean_stall_exits_two_and_prints_nothing(monkeypatch, capsys):
+    # E|Y| of an unbalanced normal set by quadrature, capped well below
+    # the panels that tol 1e-13 needs
+    import netexposure.transforms as transforms
+
+    monkeypatch.setattr(transforms, "_PV_MAX_PANELS", 200)
+    market = Path(__file__).parent / "data" / "golden" / "normal-5.json"
+    assert main(["--tol", "1e-13", "analyze", "--market", str(market)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "quadrature stalled" in captured.err
 
 
 def test_missing_dist_in_file_exits_one(tmp_path, capsys):

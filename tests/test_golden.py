@@ -45,6 +45,19 @@ EDGE_MARKETS = ("custom", "unicode", "isolated")
 CASES = ([(market, name) for market in MARKETS for name in COMMANDS]
          + [(market, name) for market in EDGE_MARKETS
             for name in FILE_COMMANDS])
+# one hilbert-eval per transform route, written to hilbert-eval.<name>.out
+HILBERT_EVAL = {
+    "laplace-power3": ("--dist", "laplace", "--scale", "1.5", "--power", "3",
+                       "--omega", "0.35"),
+    "gamma3-neg": ("--dist", "gamma", "--shape", "3", "--scale", "0.5",
+                   "--side", "neg", "--omega", "-1.2"),
+    "exponential-onesided": ("--dist", "exponential", "--scale", "2",
+                             "--method", "onesided", "--omega", "0.35"),
+    "normal-power2": ("--dist", "normal", "--sigma", "0.8", "--power", "2",
+                      "--omega", "1.3"),
+    "uniform-power2": ("--dist", "uniform", "--power", "2", "--omega", "1"),
+    "laplace-pv": ("--dist", "laplace", "--method", "pv", "--omega", "0.35"),
+}
 
 
 def _complete(rng: random.Random, n: int, k: int, directed: bool) -> list:
@@ -114,15 +127,25 @@ def _markets() -> dict[str, dict]:
     }
 
 
-def render(market: str, name: str) -> str:
-    """Stdout of one golden command; it must succeed silently."""
-    command, *options = {**COMMANDS, **FILE_COMMANDS}[name]
+def _stdout(argv: list[str]) -> str:
+    """Stdout of one CLI command; it must succeed silently."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, "--market", str(GOLDEN / f"{market}.json"),
-                     *options])
+        code = main(argv)
     assert (code, err.getvalue()) == (0, "")
     return out.getvalue()
+
+
+def render(market: str, name: str) -> str:
+    """Stdout of one golden market command."""
+    command, *options = {**COMMANDS, **FILE_COMMANDS}[name]
+    return _stdout([command, "--market", str(GOLDEN / f"{market}.json"),
+                    *options])
+
+
+def render_hilbert(name: str) -> str:
+    """Stdout of one golden hilbert-eval command."""
+    return _stdout(["hilbert-eval", *HILBERT_EVAL[name]])
 
 
 def regenerate() -> None:
@@ -134,9 +157,19 @@ def regenerate() -> None:
     for market, name in CASES:
         (GOLDEN / f"{market}.{name}.out").write_text(render(market, name),
                                                      encoding="utf-8")
+    for name in HILBERT_EVAL:
+        (GOLDEN / f"hilbert-eval.{name}.out").write_text(render_hilbert(name),
+                                                         encoding="utf-8")
 
 
 @pytest.mark.parametrize("market,name", CASES)
 def test_cli_output_matches_golden(market, name):
     expected = (GOLDEN / f"{market}.{name}.out").read_text(encoding="utf-8")
     assert render(market, name) == expected
+
+
+@pytest.mark.parametrize("name", HILBERT_EVAL)
+def test_hilbert_eval_matches_golden(name):
+    expected = (GOLDEN / f"hilbert-eval.{name}.out").read_text(
+        encoding="utf-8")
+    assert render_hilbert(name) == expected

@@ -143,9 +143,10 @@ def test_residue_rejects_real_axis_pole():
 
 
 def test_residue_rejects_nondecaying():
+    # a constant: no pole, so no decay at infinity
     bad = CharFn(
-        fn=lambda t: np.asarray(t, dtype=complex),
-        rational=RationalForm(1.0, (Pole(1j, 1),), numer=(0.0, 1.0, 0.5)),
+        fn=lambda t: np.ones_like(np.asarray(t, dtype=complex)),
+        rational=RationalForm(1.0, ()),
     )
     with pytest.raises(ValueError, match="vanish"):
         hilbert_rational(bad, 0.5)
@@ -329,7 +330,7 @@ def test_method_agreement_on_grid():
         for w in OMEGA_GRID:
             closed = hilbert(f, w)
             numeric = hilbert_numeric_pv(f, w, tol=1e-8)
-            assert abs(closed - numeric) < 1e-7, (f.label, w)
+            assert abs(closed - numeric) < 1e-7, (f, w)
 
 
 def test_parity_of_even_real_transforms():
@@ -352,12 +353,13 @@ def test_conjugation_commutes():
 
 
 def test_double_transform_negates():
-    # H{H{phi}} = -phi on the catalog class; t/(1+t^2) is the transform
-    # of the unit Laplace c.f., with an exact factored form
-    once = RationalForm(1.0, (Pole(1j, 1), Pole(-1j, 1)), numer=(0.0, 1.0))
-    f_once = CharFn(fn=once, rational=once)
+    # H{H{phi}} = -phi on the catalog class; t/(1+t^2), the transform of
+    # the unit Laplace c.f., is 1/2 / (t - i) + 1/2 / (t + i), and the
+    # transform is linear, so the residue tier takes one pole at a time
+    halves = [RationalForm(0.5, (Pole(p, 1),)) for p in (1j, -1j)]
     for w in (0.3, 1.0, -2.0):
-        twice = hilbert_rational(f_once, w)
+        twice = sum(hilbert_rational(CharFn(fn=h, rational=h), w)
+                    for h in halves)
         assert twice == pytest.approx(-1.0 / (1 + w * w), abs=1e-13)
     # same statement through the numeric route
     g = CharFn(fn=lambda t: np.asarray(t) / (1 + np.asarray(t) ** 2)
