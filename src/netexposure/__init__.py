@@ -43,11 +43,9 @@ from .exposure import (
 from .transforms import (
     HilbertResult,
     dawson,
-    hilbert,
     hilbert_deriv_at_zero,
     hilbert_eval,
     hilbert_gaussian,
-    hilbert_numeric_pv,
     hilbert_one_sided,
     hilbert_rational,
     neg_abs_cf,
@@ -63,13 +61,11 @@ from .market import (
     MarketError,
     Multilateral,
     NettingSet,
-    bilateral_partition,
     current_bilateral_risk,
     current_multilateral_risk,
     degree_profile,
     enumerate_orientations,
     is_eulerian,
-    multilateral_partition,
     netting_sets,
     validate_market,
 )

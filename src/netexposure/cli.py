@@ -14,7 +14,7 @@ from .advantage import ccp_advantage, min_participants_table
 from .charfn import LAWS, MomentError, cf_product, charfn_of
 from .exposure import DEFAULT_TOL, expected_market
 from .transforms import (
-    ToleranceError,
+    ROUTES,
     TruncationError,
     hilbert_eval,
     neg_abs_cf,
@@ -36,14 +36,14 @@ def _dist_from_args(args):
 
 def _add_dist_args(parser):
     parser.add_argument("--dist", required=True, choices=list(LAWS))
-    parser.add_argument("--scale", type=float, default=1.0,
-                        help="scale parameter (laplace/gamma/exponential)")
-    parser.add_argument("--sigma", type=float, default=1.0,
-                        help="standard deviation (normal)")
-    parser.add_argument("--half-width", dest="half_width", type=float,
-                        default=1.0, help="support half width (uniform)")
-    parser.add_argument("--shape", type=float, default=1.0,
-                        help="shape parameter (gamma)")
+    laws_of = {}  # each law field, in catalog order, and the laws using it
+    for name, law in LAWS.items():
+        for f in fields(law):
+            laws_of.setdefault(f.name, []).append(name)
+    for param, laws in laws_of.items():
+        parser.add_argument("--" + param.replace("_", "-"), type=float,
+                            default=1.0,
+                            help=f"law parameter ({'/'.join(laws)})")
 
 
 def _convention_from_arg(text: str):
@@ -198,9 +198,7 @@ def main(argv=None) -> int:
     p.add_argument("--omega", type=float, required=True)
     p.add_argument("--side", choices=["pos", "neg"], default=None,
                    help="use the signed absolute value of the law")
-    p.add_argument("--method",
-                   choices=["auto", "residue", "dawson", "onesided", "pv"],
-                   default="auto")
+    p.add_argument("--method", choices=["auto", *ROUTES], default="auto")
     p.set_defaults(func=_cmd_hilbert_eval)
 
     try:
@@ -221,15 +219,12 @@ def main(argv=None) -> int:
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
         return args.func(args)
-    except (ToleranceError, MomentError, TruncationError) as exc:
+    except (RuntimeError, MomentError, TruncationError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, MarketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except RuntimeError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -149,7 +149,6 @@ def parse_market_data(data: dict) -> MarketFile:
         participants=tuple(participants),
         n_classes=n_classes,
         links=tuple(links),
-        directed=any(a.directed for a in links),
     )
     require_valid(market)
     convention = None

@@ -30,8 +30,6 @@ __all__ = [
     "require_valid",
     "degree_profile",
     "is_eulerian",
-    "bilateral_partition",
-    "multilateral_partition",
     "netting_sets",
     "enumerate_orientations",
     "current_bilateral_risk",
@@ -82,7 +80,6 @@ class Market:
     participants: tuple[str, ...]
     n_classes: int
     links: tuple[Link, ...]
-    directed: bool = False
 
     @cached_property
     def _errors(self) -> tuple[str, ...]:
@@ -176,7 +173,6 @@ def validate_market(m: Market) -> list[str]:
         seen_pairs.add(key)
         if not (duplicate or u == w or u not in known or w not in known
                 or not 1 <= cls <= m.n_classes
-                or a.directed and not m.directed
                 or weight is not None and not -inf < weight < inf):
             continue
         where = f"links[{idx}]"
@@ -191,8 +187,6 @@ def validate_market(m: Market) -> list[str]:
         if duplicate:
             errors.append(f"{where}: duplicate pair-class link "
                           f"{a.source}-{a.target} in class {a.cls}")
-        if a.directed and not m.directed:
-            errors.append(f"{where}: directed link in an undirected market")
         if weight is not None and not -inf < weight < inf:
             errors.append(f"{where}: realised weight {weight!r} is not finite")
     return errors
@@ -256,7 +250,7 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
             a = links[i]
             src, dst = (a.target, a.source) if flip else (a.source, a.target)
             links[i] = replace(a, source=src, target=dst, directed=True)
-        yield replace(m, links=tuple(links), directed=True)
+        yield replace(m, links=tuple(links))
 
 
 # Netting partitions ----------------------------------------------------------
@@ -282,20 +276,6 @@ def _partition(m: Market, pool: int | None) -> dict[str, list[NettingSet]]:
                            if peer is not None else f"multilateral:{pool}")
                 for peer, items in g.items() if items]
             for v, g in groups.items()}
-
-
-def bilateral_partition(m: Market) -> dict[str, list[NettingSet]]:
-    """Per vertex, one netting set per counterparty, pooling all classes."""
-    return _partition(m, None)
-
-
-def multilateral_partition(m: Market, cls: int) -> dict[str, NettingSet]:
-    """Per vertex, the single netting set pooling its class-``cls`` links
-    (empty for vertices absent from the class)."""
-    kind = f"multilateral:{cls}"
-    return {v: sets[0] if sets and sets[0].kind == kind
-            else NettingSet(v, (), kind)
-            for v, sets in _partition(m, cls).items()}
 
 
 def netting_sets(m: Market, convention: Convention

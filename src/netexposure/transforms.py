@@ -1,6 +1,6 @@
 """Hilbert transforms of characteristic functions, and E|Y| from them.
 
-Three closed-form tiers plus a numerical fallback for the transform:
+Five routes for the transform, in the order ``_route`` tries them:
 
 * residue calculus for the factored rational functions c / prod_j
   (t - p_j)^(m_j) (at least one pole, none on the real axis): H{f}(w) =
@@ -9,6 +9,7 @@ Three closed-form tiers plus a numerical fallback for the transform:
 * the Dawson-function form for Gaussian shapes;
 * the analytic-signal rule for one-sided functions: -i*f (positive side),
   +i*f (negative side);
+* the closed form a catalog c.f. carries (uniform: (1 - cos cw)/(cw));
 * adaptive principal-value quadrature of the folded integrand
   [f(w-u) - f(w+u)] / u on [0, T], the universal fallback and the
   cross-check for every closed form.
@@ -45,13 +46,12 @@ __all__ = [
     "hilbert_rational",
     "hilbert_gaussian",
     "hilbert_one_sided",
-    "hilbert_numeric_pv",
-    "hilbert",
     "hilbert_eval",
     "hilbert_deriv_at_zero",
     "pos_abs_cf",
     "neg_abs_cf",
     "HilbertResult",
+    "ROUTES",
     "ToleranceError",
     "TruncationError",
 ]
@@ -75,7 +75,7 @@ class TruncationError(ValueError):
 @dataclass(frozen=True)
 class HilbertResult:
     value: complex
-    method: str  # "residue" | "dawson" | "onesided" | "pv"
+    method: str  # one of ROUTES
     error: float  # estimated absolute error (0.0 for exact closed forms)
 
 
@@ -403,17 +403,15 @@ def _abs_mean(fn: Callable, tol: float):
     return value + tail, error + tail * mag
 
 
-def hilbert_numeric_pv(f: CharFn, omega: float,
-                       tol: float = DEFAULT_TOL) -> complex:
-    """Principal-value quadrature of the transform, accurate to ~tol."""
-    return hilbert_eval(f, omega, tol, "pv").value
-
-
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
 
+ROUTES = ("residue", "dawson", "onesided", "closed-form", "pv")
+
+
 def _route(f: CharFn) -> str:
+    """The first of ROUTES that applies to f's structure tags."""
     if f.rational is not None and f.rational.poles and all(
             p.location.imag != 0 for p in f.rational.poles):
         return "residue"
@@ -421,6 +419,8 @@ def _route(f: CharFn) -> str:
         return "dawson"
     if f.side in (+1, -1):
         return "onesided"
+    if f.hilbert_closed_form is not None:
+        return "closed-form"
     return "pv"
 
 
@@ -428,10 +428,8 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
                  method: str = "auto") -> HilbertResult:
     """Transform with method provenance and an error estimate.
 
-    Routing by structure tag: factored rational forms go through residue
-    calculus, Gaussian shapes through the Dawson closed form, one-sided
-    functions through the analytic-signal rule, anything else through
-    numeric principal-value quadrature.
+    ``method`` is one of ROUTES, or "auto" for the first that applies
+    (``_route``); a forced route that does not apply raises ValueError.
     """
     if method == "auto":
         method = _route(f)
@@ -448,26 +446,28 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
             "dawson", 0.0)
     if method == "onesided":
         return HilbertResult(hilbert_one_sided(f, omega), "onesided", 0.0)
+    if method == "closed-form":
+        if f.hilbert_closed_form is None:
+            raise ValueError("no closed-form transform attached")
+        return HilbertResult(complex(f.hilbert_closed_form(omega)),
+                             "closed-form", 0.0)
     if method == "pv":
         value, err = _pv(f.fn, omega, tol)
         return HilbertResult(complex(value), "pv", err)
     raise ValueError(f"unknown method {method!r}")
 
 
-def hilbert(f: CharFn, omega: float, tol: float = DEFAULT_TOL) -> complex:
-    """Hilbert transform of a characteristic function at a real point."""
-    return hilbert_eval(f, omega, tol).value
-
-
 def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL) -> Callable:
-    """H{f} at a scalar or an array of points: the closed form attached to
-    f if it has one, Dawson's for a Gaussian shape, else ``hilbert`` point
-    by point."""
-    if f.hilbert_closed_form is not None:
+    """H{f} at a scalar or an array of points, by ``_route``: the attached
+    closed form and Dawson's take arrays, the other routes go point by
+    point through ``hilbert_eval``."""
+    route = _route(f)
+    if route == "closed-form":
         return f.hilbert_closed_form
-    if f.gaussian_variance is not None:
+    if route == "dawson":
         return partial(hilbert_gaussian, f.gaussian_variance)
-    return np.vectorize(lambda w: hilbert(f, float(w), tol), otypes=[complex])
+    return np.vectorize(lambda w: hilbert_eval(f, float(w), tol).value,
+                        otypes=[complex])
 
 
 # ---------------------------------------------------------------------------

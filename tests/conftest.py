@@ -22,16 +22,14 @@ def illustrative_market() -> Market:
 def path_market() -> Market:
     """u -> v -> w, one class, directed."""
     return Market(("u", "v", "w"), 1,
-                  (Link("u", "v", 1, True), Link("v", "w", 1, True)),
-                  directed=True)
+                  (Link("u", "v", 1, True), Link("v", "w", 1, True)))
 
 
 def triangle_directed() -> Market:
     """Cyclic orientation v1 -> v2 -> v3 -> v1 (claims/debts balance)."""
     return Market(("v1", "v2", "v3"), 1,
                   (Link("v1", "v2", 1, True), Link("v2", "v3", 1, True),
-                   Link("v3", "v1", 1, True)),
-                  directed=True)
+                   Link("v3", "v1", 1, True)))
 
 
 def triangle_undirected() -> Market:
@@ -48,8 +46,7 @@ def two_tier(directed: bool) -> Market:
     for a, b in pairs:
         links.append(Link(a, b, 1, directed))
         links.append(Link(b, a, 2, directed))
-    return Market(("v", "w", "v1", "v2", "w1", "w2"), 2, tuple(links),
-                  directed=directed)
+    return Market(("v", "w", "v1", "v2", "w1", "w2"), 2, tuple(links))
 
 
 def complete_market(n: int, k: int) -> Market:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import netexposure
 from netexposure import UniformSym, charfn_of, cli, exposure, transforms
-from netexposure.transforms import HilbertResult, hilbert, hilbert_eval
+from netexposure.transforms import HilbertResult, hilbert_eval
 from test_bench_targets import trace_targets
 
 
@@ -162,12 +162,17 @@ def test_one_default_tolerance(monkeypatch):
 
 
 def test_default_tolerance_answers_the_uniform_transform():
-    # H{sin t / t}(1) = 1 - cos 1 by quadrature at the library default
+    # H{sin t / t}(1) = 1 - cos 1: the attached closed form at any tol,
+    # and the forced principal value within its estimate at the default
     f = charfn_of(UniformSym(1.0))
-    result = hilbert_eval(f, 1.0)
-    assert result.method == "pv"
-    assert hilbert(f, 1.0) == result.value
-    assert abs(result.value - (1.0 - math.cos(1.0))) <= result.error
+    want = 1.0 - math.cos(1.0)
+    for tol in (1e-7, 1e-8, 1e-13):
+        result = hilbert_eval(f, 1.0, tol)
+        assert (result.method, result.error) == ("closed-form", 0.0)
+        assert abs(result.value - want) <= 1e-15
+    pv = hilbert_eval(f, 1.0, method="pv")
+    assert pv.method == "pv"
+    assert abs(pv.value - want) <= pv.error
 
 
 def test_readme_library_quick_start_runs():

@@ -239,14 +239,14 @@ def test_neg_abs_of_one_sided_gamma():
 
 def test_pos_abs_normal_dawson_imaginary_part():
     # independent oracle: principal-value transform of exp(-t^2/2)
-    from netexposure.transforms import hilbert_numeric_pv
+    from netexposure.transforms import hilbert_eval
 
     base = charfn_of(NormalSym(1.0))
     f = pos_abs_cf(base)
     for t in (0.5, 1.0, 2.0):
         val = complex(f(t))
         assert val.real == pytest.approx(math.exp(-0.5 * t * t), abs=1e-14)
-        pv = hilbert_numeric_pv(base, t, tol=1e-10)
+        pv = hilbert_eval(base, t, tol=1e-10, method="pv").value
         assert val.imag == pytest.approx(pv.real, abs=1e-9)
 
 
@@ -264,7 +264,7 @@ def test_pos_abs_requires_even_real():
 def test_analytic_signal_relation_on_grid():
     # Im(phi_pos)(t) = H{Re(phi_pos)}(t) within the quadrature tolerance;
     # the slowly decaying oscillatory sinc gets the looser setting
-    from netexposure.transforms import hilbert_numeric_pv
+    from netexposure.transforms import hilbert_eval
 
     for spec, tol in ((LaplaceSym(1.0), 1e-9), (UniformSym(1.0), 1e-7),
                       (NormalSym(1.0), 1e-9),
@@ -272,7 +272,7 @@ def test_analytic_signal_relation_on_grid():
         f = pos_abs_cf(charfn_of(spec))
         base = charfn_of(spec)
         for t in (0.3, 1.0, 2.5):
-            pv = hilbert_numeric_pv(base, t, tol=tol)
+            pv = hilbert_eval(base, t, tol=tol, method="pv").value
             assert complex(f(t)).imag == pytest.approx(pv.real, abs=1e-6)
 
 

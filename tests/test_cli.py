@@ -204,6 +204,17 @@ def test_hilbert_eval_forced_pv(capsys):
     assert "method: pv" in out
 
 
+def test_hilbert_eval_forced_closed_form(capsys):
+    assert main(["--tol", "1e-13", "hilbert-eval", "--dist", "uniform",
+                 "--omega", "1", "--method", "closed-form"]) == 0
+    assert capsys.readouterr().out == ("H{phi^1}(1) = +0.459697694132+0i\n"
+                                       "method: closed-form\n"
+                                       "error estimate: 0.00e+00\n")
+    assert main(["hilbert-eval", "--dist", "laplace", "--omega", "1",
+                 "--method", "closed-form"]) == 1
+    assert "no closed-form transform" in capsys.readouterr().err
+
+
 def test_missing_file_exits_one(capsys):
     assert main(["analyze", "--market", "/nonexistent.json"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -318,6 +329,18 @@ def test_help_states_exit_codes(capsys):
     assert exc.value.code == 0
     assert ("exit codes: 0 ok, 1 invalid input, 2 numeric failure"
             in capsys.readouterr().out)
+
+
+def test_readme_lists_the_hilbert_eval_methods(capsys):
+    # the README's hilbert-eval synopsis names the parser's --method choices
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = re.search(r"netexposure hilbert-eval .*\n"
+                           r"\s*\[--method ([\w|-]+)\]", readme)
+    with pytest.raises(SystemExit):
+        main(["hilbert-eval", "--help"])
+    parsed = re.search(r"--method \{([^}]*)\}", capsys.readouterr().out)
+    assert documented and parsed
+    assert documented.group(1).split("|") == parsed.group(1).split(",")
 
 
 @pytest.mark.parametrize("argv", [
@@ -471,7 +494,7 @@ def test_float_underflow_is_a_numeric_failure(capsys, argv, message):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--dist", "uniform", "--half-width", "1e-12"],
+    ["--dist", "uniform", "--half-width", "1e-12", "--method", "pv"],
     ["--dist", "laplace", "--scale", "1e-13", "--method", "pv"],
 ], ids=["uniform", "laplace-pv"])
 def test_decay_beyond_the_truncation_limit_is_a_numeric_failure(capsys,
@@ -652,7 +675,8 @@ def test_hilbert_eval_at_an_overflowing_uniform_width_prints_one_reason(
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         assert main(["hilbert-eval", "--dist", "uniform", "--half-width",
-                     half_width, "--power", power, "--omega", "0.7"]) == 2
+                     half_width, "--power", power, "--omega", "0.7",
+                     "--method", "pv"]) == 2
     assert caught == []
     captured = capsys.readouterr()
     width = float(half_width)

@@ -58,8 +58,7 @@ def hub_market(n_plus: int, n_minus: int, n_sym: int = 0) -> Market:
     for i in range(n_sym):
         leaves.append(f"s{i}")
         links.append(Link("o", f"s{i}", 1, False))
-    return Market(("o", *leaves), 1, tuple(links), directed=any(
-        a.directed for a in links))
+    return Market(("o", *leaves), 1, tuple(links))
 
 
 def hub_set(m: Market) -> NettingSet:
@@ -515,7 +514,7 @@ def directed_complete_market(n: int, k: int) -> Market:
                   if (i + j * c) % 3 else Link(parts[j], parts[i], c, True)
                   for c in range(1, k + 1)
                   for i in range(n) for j in range(i + 1, n))
-    return Market(parts, k, links, directed=True)
+    return Market(parts, k, links)
 
 
 def signature(s: NettingSet) -> tuple[int, int, int]:

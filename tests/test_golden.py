@@ -56,6 +56,7 @@ HILBERT_EVAL = {
     "normal-power2": ("--dist", "normal", "--sigma", "0.8", "--power", "2",
                       "--omega", "1.3"),
     "uniform-power2": ("--dist", "uniform", "--power", "2", "--omega", "1"),
+    "uniform-closed-form": ("--dist", "uniform", "--omega", "0.35"),
     "laplace-pv": ("--dist", "laplace", "--method", "pv", "--omega", "0.35"),
 }
 

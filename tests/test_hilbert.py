@@ -15,11 +15,9 @@ from netexposure import (
     cf_product,
     charfn_of,
     dawson,
-    hilbert,
     hilbert_deriv_at_zero,
     hilbert_eval,
     hilbert_gaussian,
-    hilbert_numeric_pv,
     hilbert_one_sided,
     hilbert_rational,
     neg_abs_cf,
@@ -159,7 +157,7 @@ def test_residue_order_two_upper_pole_against_pv():
     f = CharFn(fn=form, rational=form)
     for w in (-1.5, 0.7, 2.0):
         closed = hilbert_rational(f, w)
-        numeric = hilbert_numeric_pv(f, w, tol=1e-10)
+        numeric = hilbert_eval(f, w, tol=1e-10, method="pv").value
         assert closed == pytest.approx(numeric, abs=1e-9)
 
 
@@ -202,8 +200,9 @@ def test_gaussian_derivative_at_zero():
     stripped = dataclasses.replace(f, gaussian_variance=None)
 
     def central(h):
-        return (hilbert_numeric_pv(stripped, h, 1e-10).real
-                - hilbert_numeric_pv(stripped, -h, 1e-10).real) / (2 * h)
+        plus = hilbert_eval(stripped, h, 1e-10, method="pv").value
+        minus = hilbert_eval(stripped, -h, 1e-10, method="pv").value
+        return (plus.real - minus.real) / (2 * h)
 
     d1, d2, d3 = central(0.1), central(0.05), central(0.025)
     r1, r2 = (4 * d2 - d1) / 3, (4 * d3 - d2) / 3
@@ -242,15 +241,15 @@ def test_one_sided_rejects_mixed():
 
 def test_pv_lorentzian():
     f = charfn_of(LaplaceSym(1.0))
-    got = hilbert_numeric_pv(f, 1.0, tol=1e-8)
+    got = hilbert_eval(f, 1.0, tol=1e-8, method="pv").value
     assert got == pytest.approx(0.5, abs=1e-8)
 
 
 def test_pv_gaussian():
     f = charfn_of(NormalSym(1.0))
     want = (2 / math.sqrt(math.pi)) * dawson(1 / math.sqrt(2))
-    assert hilbert_numeric_pv(f, 1.0, tol=1e-9) == pytest.approx(want,
-                                                                 abs=1e-9)
+    got = hilbert_eval(f, 1.0, tol=1e-9, method="pv").value
+    assert got == pytest.approx(want, abs=1e-9)
 
 
 def test_pv_uniform_pair_product():
@@ -258,7 +257,7 @@ def test_pv_uniform_pair_product():
     pos = pos_abs_cf(charfn_of(UniformSym(1.0)))
     neg = neg_abs_cf(charfn_of(UniformSym(1.0)))
     f = cf_product([pos, neg])
-    got = hilbert_numeric_pv(f, 1.0, tol=1e-8)
+    got = hilbert_eval(f, 1.0, tol=1e-8, method="pv").value
     assert got == pytest.approx(2 * (1 - math.sin(1.0)), abs=1e-8)
 
 
@@ -272,13 +271,14 @@ def test_pv_against_quadpack_cauchy():
                       weight="cauchy", wvar=w, limit=400)
         # H{f}(w) = -(1/pi) PV int f(t)/(t-w) dt
         ref = -ref / math.pi
-        assert hilbert_numeric_pv(f, w, 1e-9) == pytest.approx(ref, abs=1e-6)
+        got = hilbert_eval(f, w, 1e-9, method="pv").value
+        assert got == pytest.approx(ref, abs=1e-6)
 
 
 def test_pv_rejects_nondecaying():
     f = CharFn(fn=lambda t: np.ones_like(np.asarray(t, dtype=float)))
     with pytest.raises(ValueError, match="decay"):
-        hilbert_numeric_pv(f, 0.0, tol=1e-8)
+        hilbert_eval(f, 0.0, tol=1e-8, method="pv").value
 
 
 def test_pv_tolerance_error_carries_achieved(monkeypatch):
@@ -287,7 +287,7 @@ def test_pv_tolerance_error_carries_achieved(monkeypatch):
     monkeypatch.setattr(hb, "_PV_MAX_PANELS", 40)
     f = charfn_of(UniformSym(1.0))  # oscillatory 1/t decay: hard
     with pytest.raises(ToleranceError) as exc:
-        hb.hilbert_numeric_pv(f, 1.0, tol=1e-9)
+        hb.hilbert_eval(f, 1.0, tol=1e-9, method="pv").value
     assert exc.value.achieved > 0
 
 
@@ -302,6 +302,8 @@ def test_dispatch_routes():
     assert hilbert_eval(normal3, 1.0).method == "dawson"
     uniform2 = cf_product([charfn_of(UniformSym(1.0))] * 2)
     assert hilbert_eval(uniform2, 1.0, tol=1e-7).method == "pv"
+    uniform = charfn_of(UniformSym(1.0))
+    assert hilbert_eval(uniform, 1.0).method == "closed-form"
     onesided = cf_product([pos_abs_cf(charfn_of(NormalSym(1.0)))] * 2)
     assert hilbert_eval(onesided, 1.0).method == "onesided"
 
@@ -328,8 +330,8 @@ def test_method_agreement_on_grid():
     ]
     for f in cases:
         for w in OMEGA_GRID:
-            closed = hilbert(f, w)
-            numeric = hilbert_numeric_pv(f, w, tol=1e-8)
+            closed = hilbert_eval(f, w).value
+            numeric = hilbert_eval(f, w, tol=1e-8, method="pv").value
             assert abs(closed - numeric) < 1e-7, (f, w)
 
 
@@ -337,10 +339,10 @@ def test_parity_of_even_real_transforms():
     for f in (charfn_of(LaplaceSym(1.0)),
               cf_product([charfn_of(NormalSym(1.0))] * 2),
               cf_product([charfn_of(UniformSym(1.0))] * 2)):
-        assert hilbert(f, 0.0) == 0
+        assert hilbert_eval(f, 0.0).value == 0
         for w in (0.25, 1.0, 2.5):
-            plus = hilbert(f, w, tol=1e-8)
-            minus = hilbert(f, -w, tol=1e-8)
+            plus = hilbert_eval(f, w, tol=1e-8).value
+            minus = hilbert_eval(f, -w, tol=1e-8).value
             assert minus == pytest.approx(-plus, abs=1e-7)
 
 
@@ -348,8 +350,8 @@ def test_conjugation_commutes():
     pos = pos_abs_cf(charfn_of(Gamma(1.0, 2.0)))
     neg = neg_abs_cf(charfn_of(Gamma(1.0, 2.0)))  # the conjugate function
     for w in OMEGA_GRID:
-        assert hilbert(neg, w) == pytest.approx(
-            np.conjugate(hilbert(pos, w)), abs=1e-14)
+        assert hilbert_eval(neg, w).value == pytest.approx(
+            np.conjugate(hilbert_eval(pos, w).value), abs=1e-14)
 
 
 def test_double_transform_negates():
@@ -365,8 +367,8 @@ def test_double_transform_negates():
     g = CharFn(fn=lambda t: np.asarray(t) / (1 + np.asarray(t) ** 2)
                .astype(complex))
     for w in (0.5, 1.5):
-        assert hilbert_numeric_pv(g, w, tol=1e-8) == pytest.approx(
-            -1.0 / (1 + w * w), abs=1e-7)
+        got = hilbert_eval(g, w, tol=1e-8, method="pv").value
+        assert got == pytest.approx(-1.0 / (1 + w * w), abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +414,30 @@ def test_forced_method_must_be_applicable():
         hilbert_eval(charfn_of(NormalSym(1.0)), 1.0, method="residue")
     with pytest.raises(ValueError, match="analytic signal"):
         hilbert_eval(laplace, 1.0, method="onesided")
+    with pytest.raises(ValueError, match="no closed-form"):
+        hilbert_eval(laplace, 1.0, method="closed-form")
+
+
+@pytest.mark.parametrize("f, route", [
+    (cf_product([charfn_of(LaplaceSym(1.0))] * 2), "residue"),
+    (cf_product([charfn_of(NormalSym(1.0))] * 3), "dawson"),
+    (pos_abs_cf(charfn_of(NormalSym(1.0))), "onesided"),
+    (charfn_of(UniformSym(1.0)), "closed-form"),
+    (cf_product([charfn_of(UniformSym(1.0))] * 2), "pv"),
+    (cf_product([]), "closed-form"),
+], ids=["laplace2", "normal3", "pos-normal", "uniform", "uniform2", "one"])
+def test_array_transform_follows_the_route_table(f, route):
+    # the array form used inside c.f.s equals the routed transform at
+    # every point, to the last bit
+    from netexposure.transforms import _hilbert_fn
+
+    ws = np.array([[-1.5, 0.0], [0.4, 2.0]])
+    values = _hilbert_fn(f)(ws)
+    assert np.shape(values) == ws.shape
+    for w, value in zip(ws.ravel(), np.ravel(values)):
+        result = hilbert_eval(f, float(w))
+        assert result.method == route
+        assert value == result.value, (route, w)
 
 
 def test_gaussian_product_transform_is_the_closed_form_on_arrays():
@@ -423,7 +449,7 @@ def test_gaussian_product_transform_is_the_closed_form_on_arrays():
     values = _hilbert_fn(f)(ws)
     assert values.shape == ws.shape
     for w, value in zip(ws.ravel(), values.ravel()):
-        assert abs(value - hilbert(f, float(w))) <= 1e-15
+        assert abs(value - hilbert_eval(f, float(w)).value) <= 1e-15
 
 
 def test_negative_one_sided_transform_is_plus_i_f():

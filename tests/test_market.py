@@ -17,14 +17,12 @@ from netexposure import (
     MarketError,
     Multilateral,
     NettingSet,
-    bilateral_partition,
     current_bilateral_risk,
     current_multilateral_risk,
     degree_profile,
     enumerate_orientations,
     expected_exposure,
     is_eulerian,
-    multilateral_partition,
     netting_sets,
     validate_market,
 )
@@ -70,12 +68,6 @@ def test_same_pair_digfferent_class_is_fine():
     assert validate_market(m) == []
 
 
-def test_directed_link_needs_directed_market():
-    m = Market(("v", "w"), 1, (Link("v", "w", 1, True),))
-    assert any("undirected market" in e for e in validate_market(m))
-    assert validate_market(dataclasses.replace(m, directed=True)) == []
-
-
 def test_all_violations_reported_together():
     m = Market(("v", "w"), 1,
                (Link("v", "v", 1, False), Link("v", "w", 9, False)))
@@ -112,7 +104,6 @@ def test_violation_messages_in_link_order():
     assert validate_market(m) == [
         "duplicate participant identifiers",
         "links[0]: self-link at 'v'",
-        "links[0]: directed link in an undirected market",
         "links[1]: unknown participant 'x'",
         "links[1]: unknown class 3 (market has 2)",
         "links[3]: duplicate pair-class link v-w in class 1",
@@ -137,7 +128,7 @@ def test_circle_balances_every_vertex():
 
 
 def test_isolated_vertex_degree():
-    m = Market(("a", "b", "c"), 1, (Link("a", "b", 1, True),), directed=True)
+    m = Market(("a", "b", "c"), 1, (Link("a", "b", 1, True),))
     assert degree_profile(m, "c", 1) == degree_profile(m, "c", 1)
     p = degree_profile(m, "c", 1)
     assert (p.in_degree, p.out_degree, p.eulerian_degree) == (0, 0, 0)
@@ -155,13 +146,12 @@ def test_cyclic_triangle_is_eulerian():
 def test_noncyclic_orientation_is_not_eulerian():
     m = Market(("v1", "v2", "v3"), 1,
                (Link("v1", "v2", 1, True), Link("v3", "v2", 1, True),
-                Link("v1", "v3", 1, True)),
-               directed=True)
+                Link("v1", "v3", 1, True)))
     assert not is_eulerian(m, 1)
 
 
 def test_single_arrow_not_eulerian():
-    m = Market(("v", "w"), 1, (Link("v", "w", 1, True),), directed=True)
+    m = Market(("v", "w"), 1, (Link("v", "w", 1, True),))
     assert not is_eulerian(m, 1)
 
 
@@ -170,44 +160,46 @@ def test_single_arrow_not_eulerian():
 # ---------------------------------------------------------------------------
 
 def test_bilateral_partition_groups_by_neighbour():
-    sets = bilateral_partition(illustrative_market())["v1"]
+    sets = netting_sets(illustrative_market(), Bilateral())["v1"]
     by_peer = {s.kind.split(":")[1]: set(s.link_indices) for s in sets}
     assert by_peer == {"v3": {0}, "v4": {2, 6}, "v2": {5}}
 
 
 def test_two_vertex_market_single_set_per_side():
     m = two_vertex_market(4)
-    sets = bilateral_partition(m)
+    sets = netting_sets(m, Bilateral())
     assert len(sets["v"]) == 1 and len(sets["w"]) == 1
     assert len(sets["v"][0].items) == 4
 
 
 def test_bilateral_partition_isolated_vertex_empty():
     m = Market(("a", "b", "c"), 1, (Link("a", "b", 1, False),))
-    assert bilateral_partition(m)["c"] == []
+    assert netting_sets(m, Bilateral())["c"] == []
 
 
 def test_multilateral_partition_illustrative_v3():
-    pooled = multilateral_partition(illustrative_market(), 1)
-    assert set(pooled["v3"].link_indices) == {0, 1, 3}
+    pooled = netting_sets(illustrative_market(), Multilateral(1))["v3"][0]
+    assert pooled.kind == "multilateral:1"
+    assert set(pooled.link_indices) == {0, 1, 3}
 
 
 def test_multilateral_partition_triangle():
-    pooled = multilateral_partition(triangle_undirected(), 1)
+    sets = netting_sets(triangle_undirected(), Multilateral(1))
     for v in ("v1", "v2", "v3"):
-        assert len(pooled[v].items) == 2
+        assert [len(s.items) for s in sets[v]] == [2]
 
 
 def test_multilateral_partition_absent_vertex_empty():
+    # c has no class-1 link, so it has no pooled set, only its bilateral one
     m = Market(("a", "b", "c"), 2,
                (Link("a", "b", 1, False), Link("a", "c", 2, False)))
-    assert multilateral_partition(m, 1)["c"].items == ()
+    sets = netting_sets(m, Multilateral(1))["c"]
+    assert sets == [NettingSet("c", ((1, 0),), "bilateral:a")]
 
 
 def test_netting_set_signs_relative_to_owner():
     tri = triangle_directed()  # v1 -> v2 -> v3 -> v1
-    pooled = multilateral_partition(tri, 1)
-    signs = dict(pooled["v1"].items)
+    signs = dict(netting_sets(tri, Multilateral(1))["v1"][0].items)
     assert signs[2] == +1  # v3 -> v1: claim of v1
     assert signs[0] == -1  # v1 -> v2: debt of v1
 
@@ -345,8 +337,7 @@ def small_markets(draw):
                     links.append(Link(src, dst, c, directed
                                       and draw(st.booleans())))
     links = draw(st.permutations(links))
-    return Market(parts, k, tuple(links),
-                  directed=any(a.directed for a in links))
+    return Market(parts, k, tuple(links))
 
 
 def random_custom(m, rng):
@@ -424,8 +415,7 @@ def shaped_markets(draw):
                     src, dst = (u, w) if draw(st.booleans()) else (w, u)
                     links.append(Link(src, dst, c, directed))
     links = draw(st.permutations(links))
-    return Market(tuple(draw(st.permutations(parts))), k, tuple(links),
-                  directed=any(a.directed for a in links))
+    return Market(tuple(draw(st.permutations(parts))), k, tuple(links))
 
 
 @settings(max_examples=200, deadline=None)
@@ -530,16 +520,14 @@ def weighted(m: Market, weights) -> Market:
 
 
 def test_single_claim_counted_once():
-    m = Market(("v", "w"), 1, (Link("v", "w", 1, True, weight=5.0),),
-               directed=True)
+    m = Market(("v", "w"), 1, (Link("v", "w", 1, True, weight=5.0),))
     assert current_bilateral_risk(m) == 5.0
 
 
 def test_offsetting_pair_nets_to_zero():
     m = Market(("v", "w"), 2,
                (Link("v", "w", 1, True, weight=5.0),
-                Link("w", "v", 2, True, weight=5.0)),
-               directed=True)
+                Link("w", "v", 2, True, weight=5.0)))
     assert current_bilateral_risk(m) == 0.0
 
 
@@ -554,8 +542,7 @@ def test_exposure_circle_pools_to_zero():
 
 
 def test_single_position_counted_twice_in_pool():
-    m = Market(("v", "w"), 1, (Link("v", "w", 1, True, weight=5.0),),
-               directed=True)
+    m = Market(("v", "w"), 1, (Link("v", "w", 1, True, weight=5.0),))
     assert current_multilateral_risk(m, 1).class_measure == 10.0
 
 
@@ -564,8 +551,7 @@ def test_star_pool_measure():
     m = Market(("c", "a", "b", "d"), 1,
                (Link("c", "a", 1, True, weight=3.0),
                 Link("c", "b", 1, True, weight=4.0),
-                Link("d", "c", 1, True, weight=5.0)),
-               directed=True)
+                Link("d", "c", 1, True, weight=5.0)))
     assert current_multilateral_risk(m, 1).class_measure == 14.0
 
 
@@ -581,7 +567,7 @@ def test_combined_measure_decomposes():
                                   6.0, 7.0, 8.0, 9.0, 10.0])
     pooled = current_multilateral_risk(m, 1)
     rest = Market(m.participants, m.n_classes,
-                  tuple(a for a in m.links if a.cls != 1), directed=True)
+                  tuple(a for a in m.links if a.cls != 1))
     assert pooled.combined == pytest.approx(
         pooled.class_measure + current_bilateral_risk(rest), abs=1e-12)
 

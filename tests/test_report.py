@@ -123,7 +123,7 @@ def renamed_markets(draw):
     rename = dict(zip(m.participants, names))
     links = tuple(replace(a, source=rename[a.source],
                           target=rename[a.target]) for a in m.links)
-    return Market(tuple(names), m.n_classes, links, directed=m.directed)
+    return Market(tuple(names), m.n_classes, links)
 
 
 @settings(max_examples=100, deadline=None)
