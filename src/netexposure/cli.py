@@ -219,7 +219,7 @@ def main(argv=None) -> int:
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
         return args.func(args)
-    except (RuntimeError, MomentError, TruncationError) as exc:
+    except (RuntimeError, MomentError, TruncationError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, MarketError, ValueError) as exc:

@@ -40,11 +40,19 @@ class MarketFile:
     dist: Distribution | None
 
 
-def _object(obj, where: str) -> dict:
-    """``obj`` itself, which must be a JSON object."""
+_LINK_KEYS = frozenset({"from", "to", "class", "directed", "weight"})
+
+
+def _object(obj, where: str, keys=None) -> dict:
+    """``obj`` itself, which must be a JSON object with no key outside the
+    set ``keys`` (when given)."""
     if not isinstance(obj, dict):
         raise ParseError(f"{where}: expected an object, "
                          f"got {type(obj).__name__}")
+    if keys is not None and not obj.keys() <= keys:
+        key = next(k for k in obj if k not in keys)
+        raise ParseError(f"{where}.{key}: unknown key (allowed: "
+                         f"{', '.join(sorted(keys))})")
     return obj
 
 
@@ -94,25 +102,26 @@ def dist_to_json(dist: Distribution) -> dict:
 def _convention_from_json(obj: dict, where: str) -> Convention:
     kind = _need(_object(obj, where), "type", str, where)
     if kind == "bilateral":
+        _object(obj, where, {"type"})
         return Bilateral()
     if kind == "multilateral":
+        _object(obj, where, {"type", "class"})
         return Multilateral(cls=_need(obj, "class", int, where))
-    if kind == "custom":
-        sets = obj.get("sets")
-        if not isinstance(sets, list):
-            raise ParseError(f"{where}.sets: expected a list of blocks")
-        blocks = []
-        for i, block in enumerate(sets):
-            at = f"{where}.sets[{i}]"
-            owner = _need(_object(block, at), "owner", str, at)
-            links = _need(block, "links", list, at)
-            if not all(isinstance(x, int) and not isinstance(x, bool)
-                       for x in links):
-                raise ParseError(f"{at}.links: expected integer link "
-                                 "indices")
-            blocks.append((owner, tuple(links)))
-        return Custom(sets=tuple(blocks))
-    raise ParseError(f"{where}.type: unknown convention {kind!r}")
+    if kind != "custom":
+        raise ParseError(f"{where}.type: unknown convention {kind!r}")
+    sets = _object(obj, where, {"type", "sets"}).get("sets")
+    if not isinstance(sets, list):
+        raise ParseError(f"{where}.sets: expected a list of blocks")
+    blocks = []
+    for i, block in enumerate(sets):
+        at = f"{where}.sets[{i}]"
+        owner = _need(_object(block, at, {"owner", "links"}), "owner", str, at)
+        links = _need(block, "links", list, at)
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in links):
+            raise ParseError(f"{at}.links: expected integer link indices")
+        blocks.append((owner, tuple(links)))
+    return Custom(sets=tuple(blocks))
 
 
 def _convention_to_json(conv: Convention) -> dict:
@@ -129,7 +138,7 @@ def _convention_to_json(conv: Convention) -> dict:
 
 def _parse_link(obj, i: int) -> Link:
     where = f"$.links[{i}]"
-    _object(obj, where)
+    _object(obj, where, _LINK_KEYS)
     return Link(_need(obj, "from", str, where), _need(obj, "to", str, where),
                 _need(obj, "class", int, where),
                 _need(obj, "directed", bool, where, False),
@@ -138,7 +147,9 @@ def _parse_link(obj, i: int) -> Link:
 
 def parse_market_data(data: dict) -> MarketFile:
     """Build a validated market from decoded JSON."""
-    participants = _need(_object(data, "$"), "participants", list, "$")
+    _object(data, "$", {"participants", "classes", "links", "convention",
+                        "dist"})
+    participants = _need(data, "participants", list, "$")
     for i, p in enumerate(participants):
         if not isinstance(p, str):
             raise ParseError(f"$.participants[{i}]: expected str")

@@ -193,15 +193,9 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
     residues leave the floating-point range (poles and constants of an
     extreme scale raised to a high power).
     """
-    form = f.rational
-    if form is None:
-        raise ValueError("characteristic function carries no rational form")
-    if not form.poles:
-        raise ValueError("rational function does not vanish at infinity")
-    for p in form.poles:
-        if p.location.imag == 0:
-            raise ValueError(f"pole on the real axis: {p.location}")
-    total = 0j
+    if reason := _unfit(f, "residue"):
+        raise ValueError(reason)
+    form, total = f.rational, 0j
     try:
         for p in form.poles:
             if p.location.imag > 0:
@@ -224,11 +218,9 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
 def hilbert_one_sided(f: CharFn, omega: float) -> complex:
     """Transform of a one-sided c.f. (or a same-side product of them):
     -i*f(w) for positive support, +i*f(w) for negative support."""
-    if f.side == +1:
-        return -1j * complex(f.fn(omega))
-    if f.side == -1:
-        return 1j * complex(f.fn(omega))
-    raise ValueError("not an analytic signal: mixed or two-sided structure")
+    if reason := _unfit(f, "onesided"):
+        raise ValueError(reason)
+    return (-1j if f.side == +1 else 1j) * complex(f.fn(omega))
 
 
 def _conjugate_cf(f: CharFn) -> CharFn:
@@ -410,18 +402,30 @@ def _abs_mean(fn: Callable, tol: float):
 ROUTES = ("residue", "dawson", "onesided", "closed-form", "pv")
 
 
+def _unfit(f: CharFn, method: str) -> str:
+    """Why ``method`` cannot transform f; empty when it can."""
+    if method not in ROUTES:
+        return f"unknown method {method!r}"
+    if method == "residue":
+        if f.rational is None:
+            return "characteristic function carries no rational form"
+        if not f.rational.poles:
+            return "rational function does not vanish at infinity"
+        for p in f.rational.poles:
+            if p.location.imag == 0:
+                return f"pole on the real axis: {p.location}"
+    if method == "dawson" and f.gaussian_variance is None:
+        return "not a Gaussian characteristic function"
+    if method == "onesided" and f.side not in (+1, -1):
+        return "not an analytic signal: mixed or two-sided structure"
+    if method == "closed-form" and f.hilbert_closed_form is None:
+        return "no closed-form transform attached"
+    return ""
+
+
 def _route(f: CharFn) -> str:
     """The first of ROUTES that applies to f's structure tags."""
-    if f.rational is not None and f.rational.poles and all(
-            p.location.imag != 0 for p in f.rational.poles):
-        return "residue"
-    if f.gaussian_variance is not None:
-        return "dawson"
-    if f.side in (+1, -1):
-        return "onesided"
-    if f.hilbert_closed_form is not None:
-        return "closed-form"
-    return "pv"
+    return next(method for method in ROUTES if not _unfit(f, method))
 
 
 def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
@@ -433,28 +437,24 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
     """
     if method == "auto":
         method = _route(f)
+    elif reason := _unfit(f, method):
+        raise ValueError(reason)
     if f.even_real and omega == 0.0:
         # odd transform of an even function
         return HilbertResult(0j, method, 0.0)
     if method == "residue":
         return HilbertResult(hilbert_rational(f, omega), "residue", 0.0)
     if method == "dawson":
-        if f.gaussian_variance is None:
-            raise ValueError("not a Gaussian characteristic function")
         return HilbertResult(
             complex(hilbert_gaussian(f.gaussian_variance, omega)),
             "dawson", 0.0)
     if method == "onesided":
         return HilbertResult(hilbert_one_sided(f, omega), "onesided", 0.0)
     if method == "closed-form":
-        if f.hilbert_closed_form is None:
-            raise ValueError("no closed-form transform attached")
         return HilbertResult(complex(f.hilbert_closed_form(omega)),
                              "closed-form", 0.0)
-    if method == "pv":
-        value, err = _pv(f.fn, omega, tol)
-        return HilbertResult(complex(value), "pv", err)
-    raise ValueError(f"unknown method {method!r}")
+    value, err = _pv(f.fn, omega, tol)
+    return HilbertResult(complex(value), "pv", float(err))
 
 
 def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL) -> Callable:

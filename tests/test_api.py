@@ -35,14 +35,19 @@ def test_every_all_entry_resolves():
 
 
 def test_package_reexports_come_from_a_module_all():
+    # both ways: a package name is some module's public name, and every
+    # module's public name is the package's same object
     public = {}
     for module in _modules():
         for name in getattr(module, "__all__", []):
+            assert name not in public, name
             public[name] = getattr(module, name)
     for name, value in vars(netexposure).items():
         if name.startswith("_") or isinstance(value, types.ModuleType):
             continue
         assert public.get(name) is value, name
+    for name, value in public.items():
+        assert getattr(netexposure, name, None) is value, name
 
 
 def _relative_imports(path: Path) -> set[str]:

@@ -115,6 +115,50 @@ def test_unknown_distribution_rejected(tmp_path):
         parse_market(path)
 
 
+def _path_market_json() -> dict:
+    """a -> b -> c, Laplace, pooled class 1: total 3/2."""
+    return {"participants": ["a", "b", "c"], "classes": 1,
+            "links": [{"from": "a", "to": "b", "class": 1, "directed": True},
+                      {"from": "b", "to": "c", "class": 1, "directed": True}],
+            "convention": {"type": "multilateral", "class": 1},
+            "dist": {"type": "laplace", "scale": 1.0}}
+
+
+def _rename(obj: dict, old: str, new: str) -> None:
+    obj[new] = obj.pop(old)
+
+
+@pytest.mark.parametrize("typo, where", [
+    (lambda d: [_rename(link, "directed", "directd") for link in d["links"]],
+     "$.links[0].directd"),
+    (lambda d: _rename(d, "convention", "conventoin"), "$.conventoin"),
+    (lambda d: _rename(d["convention"], "class", "clas"),
+     "$.convention.clas"),
+    (lambda d: _rename(d, "links", "link"), "$.link"),
+    (lambda d: d["links"][1].update(note="x"), "$.links[1].note"),
+    (lambda d: d.update(convention={"type": "bilateral", "class": 1}),
+     "$.convention.class"),
+    (lambda d: d.update(convention={"type": "custom", "set": []}),
+     "$.convention.set"),
+    (lambda d: d.update(convention={"type": "custom", "sets": [
+        {"owner": "a", "links": [0], "link": [1]}]}),
+     "$.convention.sets[0].link"),
+], ids=["link", "top-level", "multilateral", "links", "extra-link-key",
+        "bilateral", "custom", "custom-block"])
+def test_unknown_market_keys_exit_one(tmp_path, capsys, typo, where):
+    path = tmp_path / "typo.json"
+    data = _path_market_json()
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--market", str(path)]) == 0
+    assert "(= 3/2)" in capsys.readouterr().out
+    typo(data)
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}: unknown key (allowed: ")
+    assert captured.out == ""
+
+
 def test_empty_links_market_is_valid(tmp_path):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({
@@ -210,9 +254,11 @@ def test_hilbert_eval_forced_closed_form(capsys):
     assert capsys.readouterr().out == ("H{phi^1}(1) = +0.459697694132+0i\n"
                                        "method: closed-form\n"
                                        "error estimate: 0.00e+00\n")
-    assert main(["hilbert-eval", "--dist", "laplace", "--omega", "1",
-                 "--method", "closed-form"]) == 1
-    assert "no closed-form transform" in capsys.readouterr().err
+    for omega in ("1", "0"):
+        assert main(["hilbert-eval", "--dist", "laplace", "--omega", omega,
+                     "--method", "closed-form"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "no closed-form transform" in err
 
 
 def test_missing_file_exits_one(capsys):
@@ -332,7 +378,8 @@ def test_help_states_exit_codes(capsys):
 
 
 def test_readme_lists_the_hilbert_eval_methods(capsys):
-    # the README's hilbert-eval synopsis names the parser's --method choices
+    # the README's CLI synopsis names the parser's subcommands, and its
+    # hilbert-eval line the parser's --method choices
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     documented = re.search(r"netexposure hilbert-eval .*\n"
                            r"\s*\[--method ([\w|-]+)\]", readme)
@@ -341,6 +388,12 @@ def test_readme_lists_the_hilbert_eval_methods(capsys):
     parsed = re.search(r"--method \{([^}]*)\}", capsys.readouterr().out)
     assert documented and parsed
     assert documented.group(1).split("|") == parsed.group(1).split(",")
+    synopsis = readme.split("## Command line", 1)[1].split("```")[1]
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    commands = re.search(r"\{([\w,-]+)\}", capsys.readouterr().out)
+    assert re.findall(r"^netexposure ([\w-]+)", synopsis, re.M) == (
+        commands.group(1).split(","))
 
 
 @pytest.mark.parametrize("argv", [
@@ -581,6 +634,18 @@ def test_mc_check_at_extreme_scales_prints_one_reason(tmp_path, capsys, dist,
         assert main(["mc-check", "--market", str(path), "--samples", "50",
                      "--convention", convention]) == 2
     assert caught == []
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numeric failure: ")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
+
+
+def test_unallocatable_sample_count_is_a_numeric_failure(tmp_path, capsys):
+    # 8e15 bytes per draw vector exceed any user address space, so the
+    # allocation fails at once
+    path = market_file(tmp_path, triangle_directed(), None, LaplaceSym())
+    assert main(["mc-check", "--market", str(path), "--samples",
+                 "1000000000000000"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("numeric failure: ")
     assert captured.err.count("\n") == 1 and captured.err.endswith("\n")

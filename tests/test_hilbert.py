@@ -315,6 +315,7 @@ def test_dispatch_method_override():
     assert forced.method == "pv"
     assert forced.value == pytest.approx(auto.value, abs=1e-8)
     assert forced.error > 0
+    assert type(forced.error) is float and type(auto.error) is float
 
 
 def test_method_agreement_on_grid():
@@ -406,16 +407,20 @@ def test_deriv_at_zero_uniform_pair_via_pv():
         1.0 / 3.0, abs=1e-7)
 
 
-def test_forced_method_must_be_applicable():
+@pytest.mark.parametrize("omega", [1.0, 0.0])
+def test_forced_method_must_be_applicable(omega):
+    # at 0 too, where an even c.f.'s transform needs no route
     laplace = charfn_of(LaplaceSym(1.0))
     with pytest.raises(ValueError, match="Gaussian"):
-        hilbert_eval(laplace, 1.0, method="dawson")
+        hilbert_eval(laplace, omega, method="dawson")
     with pytest.raises(ValueError, match="rational"):
-        hilbert_eval(charfn_of(NormalSym(1.0)), 1.0, method="residue")
+        hilbert_eval(charfn_of(NormalSym(1.0)), omega, method="residue")
     with pytest.raises(ValueError, match="analytic signal"):
-        hilbert_eval(laplace, 1.0, method="onesided")
+        hilbert_eval(laplace, omega, method="onesided")
     with pytest.raises(ValueError, match="no closed-form"):
-        hilbert_eval(laplace, 1.0, method="closed-form")
+        hilbert_eval(laplace, omega, method="closed-form")
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        hilbert_eval(laplace, omega, method="bogus")
 
 
 @pytest.mark.parametrize("f, route", [
