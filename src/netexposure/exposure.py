@@ -13,7 +13,8 @@ balanced or undirected sets). The value depends only on the set's
 signature and the law, so a market evaluation computes each signature
 once. Laplace and uniform sets, and sets of debts only, skip the
 transform: ``exact_exposure`` gives their exact rational value, which is
-what makes whole-market regressions bit-reproducible.
+what makes whole-market regressions bit-reproducible. Every other normal
+set's E|Y| has a computed error bound (``transforms._normal_abs_mean``).
 """
 
 import math
@@ -29,14 +30,16 @@ from .charfn import (
     Distribution,
     LaplaceSym,
     MomentError,
+    NormalSym,
     UniformSym,
     charfn_of,
     cf_product,
-    _richardson_central,
+    _square,
 )
 from .transforms import (
     DEFAULT_TOL,
     _hilbert_fn,
+    _normal_abs_mean,
     hilbert_deriv_at_zero,
     neg_abs_cf,
     pos_abs_cf,
@@ -59,7 +62,6 @@ __all__ = [
     "netting_set_cf",
     "exposure_cf",
     "expected_exposure",
-    "expected_exposure_via_cf",
     "eulerian_shortcut",
     "expected_market",
     "expected_bilateral_market",
@@ -183,10 +185,11 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
     every Laplace and uniform set, and every set of debts only). Any
     other set is E = 1/2 (claims - debts) E|X| + 1/2 E|Y|, with E|Y| the
     slope at zero of the transform of the set's c.f.
-    (``hilbert_deriv_at_zero``). Its method is "closed-form" where that
-    slope is analytic (Gaussian or one-sided c.f.s), "shortcut" where
-    claims and debts balance (the first term vanishes) and "numeric"
-    otherwise. The error is half the quadrature's error estimate for
+    (``hilbert_deriv_at_zero``), or sigma times a unit-sigma cosine series
+    for a normal set where that slope is not analytic. Its method is
+    "closed-form" where the slope is analytic (Gaussian or one-sided
+    c.f.s), "shortcut" where claims and debts balance (the first term
+    vanishes) and "numeric" otherwise. The error is half the bound on
     E|Y|, and 0 for closed forms. ``cache`` maps signatures to results;
     share one only between calls with the same law and tol.
     """
@@ -214,21 +217,17 @@ def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
     exact = exact_exposure(dist, plus, minus, sym)
     if exact is not None:
         return _finite(exact), "closed-form", 0.0, exact
-    abs_y, error = hilbert_deriv_at_zero(netting_set_cf(m, s, dist), tol,
-                                         with_error=True)
+    if isinstance(dist, NormalSym) and (plus or minus) and (minus or sym):
+        _square(dist, dist.sigma)  # the variance check of every normal c.f.
+        abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
+        abs_y, error = dist.sigma * abs_y, dist.sigma * error
+    else:
+        abs_y, error = hilbert_deriv_at_zero(netting_set_cf(m, s, dist),
+                                             tol, with_error=True)
     value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * abs_y
     method = ("closed-form" if error == 0.0
               else "shortcut" if plus == minus else "numeric")
     return _finite(max(value, 0.0)), method, 0.5 * error, None
-
-
-def expected_exposure_via_cf(f: CharFn, tol: float = DEFAULT_TOL) -> float:
-    """Expectation extracted from the clipped position's own c.f. by
-    Richardson finite differences: the four-step route, kept as an
-    independent cross-check of the derivative form."""
-    phi_max = exposure_cf(f, tol=tol * 0.01)
-    slope = _richardson_central(phi_max.fn, (0.4, 0.2, 0.1, 0.05, 0.025))
-    return float((complex(slope) / 1j).real)
 
 
 def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,

@@ -139,34 +139,41 @@ def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
     (one side's claims are the other's debts, so a pair counts once), plus
     each participant's clipped cleared-class position max[y; 0] against
     the CCP - half the gross twice-counted measure.
+
+    The cleared class is drawn first, then each pair's links in link
+    order; a pair's |net| is added to the total and dropped, so memory is
+    the participants' positions and a few sample vectors.
     """
     require_valid(m)
     vertex_pos = {}
     if ccp_class is not None:
         _require_class(m, ccp_class)
         vertex_pos = {v: np.zeros(n) for v in m.participants}
-    pair_pos: dict[frozenset, np.ndarray] = {}
-
+    pair_links: dict[frozenset, list[int]] = {}
     for i, link in enumerate(m.links):
+        if link.cls != ccp_class:
+            pair_links.setdefault(frozenset((link.source, link.target)),
+                                  []).append(i)
+            continue
         draw = link_draw(m, dist, i, n, seed)
         credit = link.target if link.directed else link.source
-        if link.cls == ccp_class:
-            debit = link.source if link.directed else link.target
-            vertex_pos[credit] += draw
-            vertex_pos[debit] -= draw
-            continue
-        key = frozenset((link.source, link.target))
-        if credit != min(key):
-            np.negative(draw, out=draw)  # y + (-x) rounds as y - x does
-        if (y := pair_pos.get(key)) is None:
-            pair_pos[key] = draw
-        else:
-            y += draw
+        debit = link.source if link.directed else link.target
+        vertex_pos[credit] += draw
+        vertex_pos[debit] -= draw
 
     total = np.zeros(n)
     for y in vertex_pos.values():
         total += np.maximum(y, 0.0, out=y)
-    for y in pair_pos.values():
+    vertex_pos.clear()
+    for key, links in pair_links.items():
+        y = None
+        for i in links:
+            draw = link_draw(m, dist, i, n, seed)
+            link = m.links[i]
+            if (link.target if link.directed else link.source) != min(key):
+                np.negative(draw, out=draw)  # y + (-x) rounds as y - x does
+            y = draw if y is None else np.add(y, draw, out=y)
+            del draw  # the next draw must not find this one still held
         total += np.abs(y, out=y)
     return total
 

@@ -287,17 +287,46 @@ def test_numeric_failure_exits_two(monkeypatch, capsys):
     assert "numeric failure" in capsys.readouterr().err
 
 
-def test_abs_mean_stall_exits_two_and_prints_nothing(monkeypatch, capsys):
-    # E|Y| of an unbalanced normal set by quadrature, capped well below
-    # the panels that tol 1e-13 needs
+def test_abs_mean_stall_raises_tolerance_error(monkeypatch):
+    # E|Y| of an unbalanced normal set by quadrature of its c.f., capped
+    # well below the panels that tol 1e-13 needs (market sets take the
+    # cosine series instead)
     import netexposure.transforms as transforms
 
     monkeypatch.setattr(transforms, "_PV_MAX_PANELS", 200)
+    parsed = parse_market(Path(__file__).parent / "data" / "golden"
+                          / "normal-5.json")
+    m = parsed.market
+    unbalanced = [s for sets in netting_sets(m, Bilateral()).values()
+                  for s in sets if s.signs.count(1) != s.signs.count(-1)
+                  and s.signs.count(-1)]
+    f = netting_set_cf(m, unbalanced[0], parsed.dist)
+    with pytest.raises(ToleranceError, match="quadrature stalled"):
+        hilbert_deriv_at_zero(f, 1e-13)
+
+
+def test_tight_tol_on_a_normal_market_takes_no_quadrature(monkeypatch,
+                                                          capsys):
+    # below the series' rounding floor (about 9e-13 per unit sigma here)
+    # the analysis stops at once, with no adaptive panel; above it, it
+    # answers
+    import netexposure.transforms as tr
+
+    panels = []
+    integrals = tr._panel_integrals
+
+    def counting(g, lo, hi):
+        panels.append(lo.size)
+        return integrals(g, lo, hi)
+
+    monkeypatch.setattr(tr, "_panel_integrals", counting)
     market = Path(__file__).parent / "data" / "golden" / "normal-5.json"
     assert main(["--tol", "1e-13", "analyze", "--market", str(market)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "quadrature stalled" in captured.err
+    assert "rounding floor" in captured.err
+    assert main(["--tol", "1e-11", "analyze", "--market", str(market)]) == 0
+    assert panels == []
 
 
 def test_missing_dist_in_file_exits_one(tmp_path, capsys):

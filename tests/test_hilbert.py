@@ -24,7 +24,12 @@ from netexposure import (
     pos_abs_cf,
 )
 from netexposure.charfn import CharFn, Pole, RationalForm
-from netexposure.transforms import ToleranceError, _pv
+from netexposure.transforms import (
+    _XD_BOUND,
+    ToleranceError,
+    _normal_abs_mean,
+    _pv,
+)
 
 OMEGA_GRID = (-3.0, -1.0, -0.1, 0.1, 1.0, 3.0)
 
@@ -94,6 +99,37 @@ def test_dawson_against_scipy():
     for xs in (np.linspace(0.01, 0.5, 50), np.linspace(-6.0, -0.01, 50)):
         assert np.max(np.abs(dawson(xs) - dawsn(xs))) < 1e-13
         assert dawson(float(xs[0])) == pytest.approx(dawsn(xs[0]), abs=1e-13)
+
+
+def test_dawson_relative_accuracy():
+    # the E|Y| series' rounding bound takes Dawson's relative error to be
+    # under 12 eps. scipy's dawsn agrees to that from 0.25 up (across the
+    # series/continued-fraction switch too); below, the alternating
+    # Taylor series sum (-2 x^2)^k x / (2k+1)!! is exact in floats.
+    from scipy.special import dawsn
+
+    eps = np.finfo(float).eps
+    xs = np.concatenate([np.linspace(0.25, 12.0, 40001),
+                         np.geomspace(12.0, 1e6, 501)])
+    assert np.max(np.abs(dawson(xs) / dawsn(xs) - 1.0)) < 12 * eps
+    for x in np.geomspace(1e-6, 0.25, 101):
+        terms, term = [], x
+        for k in range(20):
+            terms.append(term)
+            term *= -2.0 * x * x / (2 * k + 3)
+        assert abs(dawson(x) / math.fsum(terms) - 1.0) < 12 * eps
+
+
+def test_x_dawson_bound_one_point_check():
+    # C e^(x^2)/x - integral_0^x e^(s^2) ds has its one minimum at
+    # x* = sqrt(C / (2C - 1)), so x D(x) <= C everywhere iff x* D(x*) <= C
+    from scipy.special import dawsn
+
+    c = _XD_BOUND
+    x_star = math.sqrt(c / (2 * c - 1))
+    assert x_star * dawsn(x_star) < c and x_star * dawson(x_star) < c
+    xs = np.linspace(0.0, 50.0, 200001)
+    assert np.max(xs * dawsn(xs)) == pytest.approx(0.642375, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +441,76 @@ def test_deriv_at_zero_uniform_pair_via_pv():
     f = dataclasses.replace(f, even_real=True)
     assert hilbert_deriv_at_zero(f, tol=1e-7) == pytest.approx(
         1.0 / 3.0, abs=1e-7)
+
+
+# ---------------------------------------------------------------------------
+# E|Y| of a normal signature by the Fourier-cosine series
+# ---------------------------------------------------------------------------
+
+def normal_abs_mean_reference(a: int, b: int, c: int) -> float:
+    """E|Y| = (2/pi) integral_0^inf (1 - Re phi(t)) / t^2 dt by scipy, with
+    1 - Re phi formed from log phi so that it keeps its relative accuracy
+    near t = 0 (1 - Re phi itself cancels there)."""
+    import warnings
+
+    from scipy.integrate import IntegrationWarning, quad
+    from scipy.special import dawsn
+
+    def one_minus_re_phi(t):
+        d = (2 / math.sqrt(math.pi)) * dawsn(t / math.sqrt(2))
+        log_mod = 0.5 * math.log1p(math.expm1(-t * t) + d * d)
+        x = (a + b) * log_mod - 0.5 * c * t * t
+        y = (a - b) * math.atan2(d, math.exp(-t * t / 2))
+        return 2 * math.sin(y / 2) ** 2 - math.cos(y) * math.expm1(x)
+
+    edges = (0, 0.5, 1, 2, 4, 8, 16, 64, 256, 1024, 1e4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        head = math.fsum(
+            quad(lambda t: one_minus_re_phi(t) / (t * t), lo, hi,
+                 epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+            for lo, hi in zip(edges, edges[1:]))
+        tail = quad(lambda t: (1 - one_minus_re_phi(t)) / (t * t), 1e4,
+                    math.inf, epsabs=1e-17, limit=200)[0]
+    return 2 / math.pi * (head + 1e-4 - tail)
+
+
+@pytest.mark.parametrize("tol", [1e4, 1e-7, 1e-9, 1e-12])
+def test_normal_series_balanced_pair_within_its_bound(tol):
+    # E|Z_1| - |Z_2|| = 4 (sqrt 2 - 1) / sqrt(2 pi); a loose tol is
+    # served as tol 1
+    value, bound = _normal_abs_mean(1, 1, 0, tol)
+    exact = 4 * (math.sqrt(2) - 1) / math.sqrt(2 * math.pi)
+    assert abs(value - exact) <= bound <= tol
+
+
+def test_normal_series_random_signatures_within_their_bounds():
+    import random
+
+    rng = random.Random(17)
+    signatures = set()
+    while len(signatures) < 110:
+        a, b, c = (rng.randint(0, 30) for _ in range(3))
+        # the signatures a market sends here: not all undirected, not
+        # claims only, not debts only
+        if (a or b) and (b or c) and (a or c):
+            signatures.add((a, b, c))
+    for a, b, c in sorted(signatures):
+        want = normal_abs_mean_reference(a, b, c)
+        for tol in (1e-7, 1e-9):
+            value, bound = _normal_abs_mean(a, b, c, tol)
+            assert abs(value - want) <= bound <= tol, (a, b, c, tol)
+            assert _normal_abs_mean(b, a, c, tol) == (value, bound)
+
+
+def test_normal_series_checks_its_rounding_floor_first(monkeypatch):
+    import netexposure.transforms as tr
+
+    calls = []
+    monkeypatch.setattr(tr, "dawson", lambda x: calls.append(x))
+    with pytest.raises(ToleranceError, match="rounding floor"):
+        _normal_abs_mean(2, 1, 0, 1e-15)
+    assert calls == []
 
 
 @pytest.mark.parametrize("omega", [1.0, 0.0])

@@ -25,7 +25,7 @@ from netexposure import (
 from netexposure.charfn import MomentError, sample
 from netexposure.market import netting_sets
 from netexposure.mc import _link_rng, link_draw, market_total_samples
-from conftest import path_market, triangle_directed, two_tier
+from conftest import complete_market, path_market, triangle_directed, two_tier
 
 
 def test_seed_determinism():
@@ -194,6 +194,30 @@ def test_vectorised_totals_match_deterministic_measures():
         want = 0.5 * pooled_det.class_measure \
             + (pooled_det.combined - pooled_det.class_measure)
         assert pooled[j] == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("directed, ccp", [(False, None), (True, None),
+                                           (True, 1), (False, 2)])
+def test_market_total_memory_is_bounded(directed, ccp):
+    # tracemalloc sees numpy's buffers. Each pair's |net| vector is added
+    # to the total and dropped, so a bilateral total holds at most four
+    # sample vectors at a time, and a cleared class adds one position per
+    # participant.
+    import tracemalloc
+
+    m = complete_market(10, 3)  # 135 links in 45 pairs
+    if directed:
+        m = dataclasses.replace(m, links=tuple(
+            dataclasses.replace(a, directed=True) for a in m.links))
+    n = 20_000
+    tracemalloc.start()
+    try:
+        market_total_samples(m, LaplaceSym(1.0), n, 3, ccp)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    vectors = 4 if ccp is None else len(m.participants) + 4
+    assert peak <= vectors * 8 * n
 
 
 def test_market_totals_against_analytic_triangle():

@@ -1,9 +1,10 @@
-"""Metamorphic properties of exact market totals.
+"""Metamorphic properties of market totals.
 
 Laplace and uniform markets have exact rational totals, so each relation
 below holds bit for bit: reversing every directed link, relabelling
-participants and reordering links, scaling the law, and taking the
-disjoint union of two markets.
+participants and reordering links, scaling the law, swapping two classes
+(with the cleared class), and taking the disjoint union of two markets.
+Normal markets scale with sigma within their reported error bounds.
 """
 
 from collections import defaultdict
@@ -18,6 +19,7 @@ from netexposure import (
     Link,
     Market,
     Multilateral,
+    NormalSym,
     UniformSym,
     expected_market,
 )
@@ -139,3 +141,45 @@ def test_disjoint_union(k, law, scale, data):
     total_b, _ = _exact(b, dist, convention)
     total, _ = _exact(union, dist, convention)
     assert total == total_a + total_b
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 3), laws, scales, st.data())
+def test_class_swap(k, law, scale, data):
+    m = data.draw(markets(k))
+    i, j = data.draw(st.permutations(range(1, k + 1)))[:2]
+    swap = {i: j, j: i}
+    swapped = Market(m.participants, k, tuple(
+        Link(a.source, a.target, swap.get(a.cls, a.cls), a.directed)
+        for a in m.links))
+    dist = law(scale)
+    report = expected_market(m, dist, Multilateral(i))
+    report_s = expected_market(swapped, dist, Multilateral(j))
+    assert report_s.market_total_exact == report.market_total_exact
+    assert report_s.market_total.hex() == report.market_total.hex()
+    assert report_s.per_participant == report.per_participant
+    assert report_s.components == report.components
+    assert report_s.pair_view == report.pair_view
+    assert ([(e.owner, e.links, e.exact, e.value.hex())
+             for e in report_s.per_netting_set]
+            == [(e.owner, e.links, e.exact, e.value.hex())
+                for e in report.per_netting_set])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), scales, st.data())
+def test_normal_scale_within_reported_bounds(k, sigma, data):
+    # a normal set's value at sigma is sigma times its unit value up to
+    # both reported error bounds and a few ulps of float rounding
+    m = data.draw(markets(k))
+    convention = data.draw(conventions(k))
+    report = expected_market(m, NormalSym(sigma), convention)
+    unit = expected_market(m, NormalSym(1.0), convention)
+    ulps = 8 * len(report.per_netting_set) * 2.0 ** -52
+    bounds = 0.0
+    for e, e1 in zip(report.per_netting_set, unit.per_netting_set):
+        bound = e.error + sigma * e1.error
+        assert abs(e.value - sigma * e1.value) <= bound + ulps * e.value
+        bounds += bound
+    assert (abs(report.market_total - sigma * unit.market_total)
+            <= bounds + ulps * report.market_total)
