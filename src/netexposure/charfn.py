@@ -287,7 +287,8 @@ def charfn_of(spec: Distribution) -> CharFn:
 
         def fn(t):
             t = np.asarray(t, dtype=float)
-            return np.exp(-0.5 * v * t * t).astype(complex)
+            with np.errstate(over="ignore"):  # exp(-inf) = 0 far out
+                return np.exp(-0.5 * v * t * t).astype(complex)
 
         return CharFn(fn=fn, gaussian_variance=v, even_real=True, mean=0.0,
                       dist=spec)

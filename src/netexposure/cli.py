@@ -2,11 +2,12 @@
 
 Subcommands: analyze, compare-netting, advantage, advantage-table,
 mc-check, hilbert-eval. Exit code 0 on success, 1 on validation, parsing
-or usage problems, 2 on numeric failure.
+or usage problems or a closed stdout, 2 on numeric failure.
 """
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import fields
 
@@ -218,7 +219,13 @@ def main(argv=None) -> int:
             raise ParseError(f"--power must be at least 1, got {args.power}")
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:  # e.g. `| head -1`; exit's own flush must pass
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_INVALID
     except (RuntimeError, MomentError, TruncationError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

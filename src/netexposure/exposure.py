@@ -1,20 +1,21 @@
 """Expected credit exposure of netting sets and whole markets.
 
-The pipeline per netting set: build the characteristic function of the
-netted position as a product of signed absolute values (claims positive,
-debts negative, undirected links symmetric), then extract the expectation
-of the clipped position max[Y; 0] as
+A netting set's expected exposure E(max[Y; 0]) depends only on its
+signature, the counts of claims, debts and undirected links, and on the
+law, so a market evaluation values each signature once, from the
+signature alone (``_signature_exposure``). Laplace and uniform sets, and
+sets of debts only, get their exact rational value (``exact_exposure``),
+which makes whole-market regressions bit-reproducible. A normal set of
+claims only is worth E(Y), one of undirected links only sqrt(var Y /
+(2 pi)). Every other normal set is E = 1/2 E(Y) + 1/2 E|Y|, with sigma
+times a bounded unit-sigma cosine series for E|Y|
+(``transforms._normal_abs_mean``), so its error is a computed bound.
 
-    E = 1/2 E(Y) + 1/2 d/dw H{phi_Y}(0) = 1/2 E(Y) + 1/2 E|Y|,
-
-the derivative form of the max-formula for the clipped variable's c.f.
-(the H(0) constant drops under differentiation, and E(Y) vanishes for
-balanced or undirected sets). The value depends only on the set's
-signature and the law, so a market evaluation computes each signature
-once. Laplace and uniform sets, and sets of debts only, skip the
-transform: ``exact_exposure`` gives their exact rational value, which is
-what makes whole-market regressions bit-reproducible. Every other normal
-set's E|Y| has a computed error bound (``transforms._normal_abs_mean``).
+The paper's characteristic-function route stays as library API and as
+the tests' independent reference: ``netting_set_cf`` is the c.f. of the
+net position, the slope at zero of its Hilbert transform is E|Y|
+(``hilbert_deriv_at_zero``), and ``exposure_cf`` is the c.f. of the
+clipped position max[Y; 0].
 """
 
 import math
@@ -40,10 +41,11 @@ from .transforms import (
     DEFAULT_TOL,
     _hilbert_fn,
     _normal_abs_mean,
-    hilbert_deriv_at_zero,
     neg_abs_cf,
     pos_abs_cf,
 )
+# not called here; the benchmark's tracer (bench/spans.py) wraps this binding
+from .transforms import hilbert_deriv_at_zero
 from .market import (
     Bilateral,
     Convention,
@@ -179,19 +181,12 @@ def exposure_cf(f: CharFn, tol: float = DEFAULT_TOL) -> CharFn:
 def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
                       tol: float = DEFAULT_TOL,
                       cache: dict | None = None) -> SetExposure:
-    """Expected exposure of one netting set.
-
-    Two tiers. A set is exact where the law allows (``exact_exposure``:
-    every Laplace and uniform set, and every set of debts only). Any
-    other set is E = 1/2 (claims - debts) E|X| + 1/2 E|Y|, with E|Y| the
-    slope at zero of the transform of the set's c.f.
-    (``hilbert_deriv_at_zero``), or sigma times a unit-sigma cosine series
-    for a normal set where that slope is not analytic. Its method is
-    "closed-form" where the slope is analytic (Gaussian or one-sided
-    c.f.s), "shortcut" where claims and debts balance (the first term
-    vanishes) and "numeric" otherwise. The error is half the bound on
-    E|Y|, and 0 for closed forms. ``cache`` maps signatures to results;
-    share one only between calls with the same law and tol.
+    """Expected exposure of one netting set, from its signature and the
+    law (``_signature_exposure``). Its method is "closed-form" for exact
+    and one-sign sets, else "shortcut" where claims and debts balance (the
+    E(Y) term vanishes) and "numeric" otherwise; the error is half the
+    bound on E|Y|, and 0 for closed forms. ``cache`` maps signatures to
+    results; share one only between calls with the same law and tol.
     """
     owner, items, kind = s
     if not items:
@@ -204,30 +199,34 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
     cache = {} if cache is None else cache
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _signature_exposure(m, s, dist, tol, key)
+        hit = cache[key] = _signature_exposure(dist, key, tol)
     return SetExposure(owner, kind, links, *hit)
 
 
-def _signature_exposure(m: Market, s: NettingSet, dist: Distribution,
-                        tol: float, signature: tuple[int, int, int]
+def _signature_exposure(dist: Distribution, signature: tuple[int, int, int],
+                        tol: float
                         ) -> tuple[float, str, float, Fraction | None]:
-    """Uncached (value, method, error, exact) of a nonempty set."""
+    """Uncached (value, method, error, exact) of a nonempty set. Routes, in
+    order: the exact value (``exact_exposure``); normal claims only (Y >=
+    0, so E max[Y; 0] = E Y); normal undirected links only (Y ~ N(0, sym
+    sigma^2)); any other normal set by the series; no other law has one."""
     _require_two_sided(dist)
     plus, minus, sym = signature
     exact = exact_exposure(dist, plus, minus, sym)
     if exact is not None:
         return _finite(exact), "closed-form", 0.0, exact
-    if isinstance(dist, NormalSym) and (plus or minus) and (minus or sym):
-        _square(dist, dist.sigma)  # the variance check of every normal c.f.
-        abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
-        abs_y, error = dist.sigma * abs_y, dist.sigma * error
-    else:
-        abs_y, error = hilbert_deriv_at_zero(netting_set_cf(m, s, dist),
-                                             tol, with_error=True)
-    value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * abs_y
-    method = ("closed-form" if error == 0.0
-              else "shortcut" if plus == minus else "numeric")
-    return _finite(max(value, 0.0)), method, 0.5 * error, None
+    if not isinstance(dist, NormalSym):
+        raise TypeError(f"unknown distribution spec: {dist!r}")
+    v = _square(dist, dist.sigma)  # the variance check of the normal c.f.
+    if not (minus or sym):
+        return plus * dist.abs_mean, "closed-form", 0.0, None
+    if not (plus or minus):
+        value = 0.5 * math.sqrt(2.0 * (sym * v) / math.pi)
+        return _finite(value), "closed-form", 0.0, None
+    abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
+    value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * (dist.sigma * abs_y)
+    method = "shortcut" if plus == minus else "numeric"
+    return _finite(max(value, 0.0)), method, 0.5 * (dist.sigma * error), None
 
 
 def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,

@@ -317,20 +317,24 @@ def _panel_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray):
     return v_hi, np.abs(v_hi - v_lo)
 
 
-def _adaptive(g: Callable, T: float, tol: float, scale: float):
+def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
     """scale * integral of g on [0, T] and its error estimate, refined
     until that is below tol/2: Gauss-Legendre 16/32 pairs (interior nodes
-    only) on a geometric mesh, bisecting the worst quarter each round.
+    only) on a mesh graded geometrically away from 0 and from ``peak``,
+    bisecting the worst quarter each round.
 
     ToleranceError once _PV_MAX_PANELS panels are spent, or as soon as
     tol/2 is below the rounding floor of the integral's magnitude (a law
     whose scale dwarfs the absolute tol), which no refinement can reach.
     """
-    edges = [0.0, 0.5]
-    while edges[-1] < T:
-        edges.append(min(edges[-1] * _PV_MESH_RATIO + 0.5, T))
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
+    steps = [0.0, 0.5]
+    while steps[-1] < T:
+        steps.append(steps[-1] * _PV_MESH_RATIO + 0.5)
+    steps = np.array(steps)
+    if peak > 0.5:  # inside the first panel, the mesh from 0 resolves it
+        steps = np.concatenate([steps, peak - steps, peak + steps])
+    edges = np.unique(np.clip(steps, 0.0, T))
+    lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_integrals(g, lo, hi)
 
     n_evaluated = lo.size
@@ -363,16 +367,20 @@ def _pv(fn: Callable, omega: float, tol: float):
     The singularity is removed analytically by folding: the integrand
     [f(w-u) - f(w+u)]/u extends continuously to u=0 (limit -2 f'(w)), so
     interior-node Gauss-Legendre panels need no special treatment there.
-    The truncation point grows until the sampled tail magnitude is below
-    tol/100, which bounds the discarded tail by 2*|f(T)|/pi for anything
-    decaying at least like 1/t.
+    The truncation point grows from 64 + |w|, TruncationError at once if
+    past _PV_TMAX, until the sampled tail is below tol/100: the discarded
+    tail is then at most 2*|f(T)|/pi for anything decaying at least like 1/t.
     """
-    T, mag = _truncate(fn, omega, 64.0 + abs(omega), lambda T: tol / 100.0)
+    T = 64.0 + abs(omega)
+    if T > _PV_TMAX:
+        raise TruncationError(f"|omega| = {abs(omega):g} is beyond the "
+                              f"truncation limit _PV_TMAX = {_PV_TMAX:g}")
+    T, mag = _truncate(fn, omega, T, lambda T: tol / 100.0)
 
     def g(u):
         return (fn(omega - u) - fn(omega + u)) / u
 
-    value, error = _adaptive(g, T, tol, 1.0 / math.pi)
+    value, error = _adaptive(g, T, tol, 1.0 / math.pi, abs(omega))
     return value, error + 2.0 * mag / math.pi
 
 
@@ -391,7 +399,7 @@ def _abs_mean(fn: Callable, tol: float):
     def g(t):
         return (1.0 - fn(t).real) / (t * t)
 
-    value, error = _adaptive(g, T, tol, 2.0 / math.pi)
+    value, error = _adaptive(g, T, tol, 2.0 / math.pi, 0.0)
     tail = 2.0 / (math.pi * T)
     return value + tail, error + tail * mag
 

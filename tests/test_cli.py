@@ -1,7 +1,10 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -586,6 +589,37 @@ def test_decay_beyond_the_truncation_limit_is_a_numeric_failure(capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert "numeric failure" in err and "_PV_TMAX = 1e+13" in err
+
+
+@pytest.mark.parametrize("dist", ["normal", "laplace", "uniform", "gamma"])
+def test_pv_beyond_the_truncation_limit_names_omega(capsys, dist):
+    # refused before any sample, so no overflow warning leaks
+    assert main(["hilbert-eval", "--dist", dist, "--omega", "1e308",
+                 "--method", "pv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "numeric failure: |omega| = 1e+308 is beyond the truncation limit "
+        "_PV_TMAX = 1e+13"]
+
+
+def test_closed_stdout_exits_one_without_a_traceback():
+    # as `analyze ... | head -1` does, but the reader is gone before the
+    # command writes
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    market = Path(__file__).parent / "data" / "golden" / "laplace-12.json"
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "netexposure.cli", "analyze", "--market",
+             str(market)], stdout=write_end, stderr=subprocess.PIPE,
+            env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (1, b"")
 
 
 @pytest.mark.parametrize("market, dist", [

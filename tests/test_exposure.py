@@ -211,9 +211,9 @@ def test_one_sided_laws_are_rejected_for_every_set(dist, n_plus, n_minus,
 def test_one_sign_normal_sets_keep_their_closed_forms_to_the_bit(sigma):
     dist = NormalSym(sigma)
     for k in range(1, 41):
-        claims, debts, undirected = (
-            expected_exposure(m, hub_set(m), dist)
-            for m in (hub_market(k, 0), hub_market(0, k), hub_market(0, 0, k)))
+        markets = hub_market(k, 0), hub_market(0, k), hub_market(0, 0, k)
+        claims, debts, undirected = (expected_exposure(m, hub_set(m), dist)
+                                     for m in markets)
         want = 0.5 * math.sqrt(2.0 * (k * (sigma * sigma)) / math.pi)
         assert claims.value.hex() == (k * dist.abs_mean).hex()
         assert undirected.value.hex() == want.hex()
@@ -221,6 +221,13 @@ def test_one_sign_normal_sets_keep_their_closed_forms_to_the_bit(sigma):
         assert debts.exact == 0 and type(debts.exact) is Fraction
         for e in (claims, debts, undirected):
             assert (e.method, e.error) == ("closed-form", 0.0)
+        # the c.f. route these sets took before gave the same bits:
+        # 1/2 (claims - debts) E|X| + 1/2 dH(0) of the set's c.f.
+        for m, e, plus in ((markets[0], claims, k),
+                           (markets[2], undirected, 0)):
+            slope = hilbert_deriv_at_zero(netting_set_cf(m, hub_set(m), dist))
+            via_cf = 0.5 * plus * dist.abs_mean + 0.5 * slope
+            assert e.value.hex() == via_cf.hex()
 
 
 def test_all_claim_set_pays_full_mean():
@@ -653,9 +660,9 @@ def test_exact_exposure_against_mc(dist):
 
 
 def test_one_derivative_per_distinct_signature(monkeypatch):
-    # E|Y| of an inexact set comes from the transform's slope (closed
-    # forms) or from the cosine series (every other normal set): one call
-    # of either per distinct signature
+    # E|Y| of a normal set that is neither exact nor of one sign comes from
+    # the cosine series, once per distinct signature; no set takes the
+    # slope of a transform
     import netexposure.exposure as exposure
 
     calls = []
@@ -672,12 +679,10 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
         report = expected_market(m, NormalSym(1.0), convention)
         sets = [s for v in m.participants
                 for s in netting_sets(m, convention).get(v, [])]
-        inexact = [(signature(s), e.method)
-                   for s, e in zip(sets, report.per_netting_set)
-                   if e.exact is None]
-        assert len(calls) == len(set(inexact)) < len(inexact)
-        series = {sig for sig, method in inexact if method != "closed-form"}
-        assert calls.count("_normal_abs_mean") == len(series) > 0
+        served = [signature(s) for s, e in zip(sets, report.per_netting_set)
+                  if e.method != "closed-form"]
+        assert calls == ["_normal_abs_mean"] * len(set(served))
+        assert 0 < len(set(served)) < len(served)
         # every Laplace and uniform set is exact: no derivative at all
         for dist in (UniformSym(1.0), LaplaceSym(1.0)):
             calls.clear()
@@ -685,6 +690,36 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
             assert calls == []
             assert all(e.method == "closed-form" and e.exact is not None
                        for e in report.per_netting_set)
+
+
+def test_market_evaluations_build_no_characteristic_function(monkeypatch):
+    # every market set is valued from its signature and the law alone
+    from netexposure import Custom, advantage, charfn, exposure, transforms
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a market evaluation reached a c.f.")
+
+    for module in (advantage, charfn, exposure, transforms):
+        for name in ("netting_set_cf", "charfn_of", "cf_product",
+                     "pos_abs_cf", "hilbert_deriv_at_zero"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    hub = hub_market(2, 1, 2)  # links 0, 1 claims; 2 debt; 3, 4 undirected
+    custom = Custom(sets=(("o", (0, 1)), ("o", (2, 3)), ("o", (4,)),
+                          ("c0", (0,)), ("c1", (1,)), ("d0", (2,)),
+                          ("s0", (3,)), ("s1", (4,))))
+    cases = [(m, convention) for m in CONFTEST_MARKETS
+             + (directed_complete_market(5, 2),)
+             for convention in (Bilateral(), *map(Multilateral, range(
+                 1, m.n_classes + 1)))] + [(hub, custom)]
+    for dist in (LaplaceSym(1.0), UniformSym(1.0), NormalSym(1.0)):
+        values = [e for m, convention in cases
+                  for e in expected_market(m, dist, convention)
+                  .per_netting_set]
+        assert values
+    # the normal sets included claims only and undirected only
+    assert {(e.method, e.exact) for e in values} >= {("closed-form", None),
+                                                     ("numeric", None)}
 
 
 @pytest.mark.parametrize("dist", [LaplaceSym(1.0), LaplaceSym(0.3),

@@ -7,11 +7,13 @@ message, never an uncaught exception.
 
 import contextlib
 import io
+import itertools
 import json
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +21,7 @@ from netexposure.charfn import LAWS
 from netexposure.cli import main
 from netexposure.io import ParseError, parse_market_data
 from netexposure.market import MarketError
+from netexposure.transforms import ROUTES
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5)
@@ -119,6 +122,10 @@ conv_texts = st.sampled_from(["bilateral", "multilateral:1",
                               "multilateral:2", "multilateral:9",
                               "multilateral:x", "ring"])
 small_ints = st.integers(-2, 4)
+# ordinary points and the float edges, where a transform or its
+# truncation may overflow (--omega=v, so that -1e4 is no option name)
+omegas = params | st.sampled_from(
+    [s * w for s in (1, -1) for w in (1e4, 1e6, 1e12, 1e15, 1e308)])
 dist_args = st.tuples(
     st.sampled_from(["laplace", "normal", "uniform", "gamma", "exponential",
                      "cauchy"]).map(lambda d: ["--dist", d]),
@@ -143,10 +150,12 @@ def _commands(path):
                   _opt("--kmax", st.integers(-1, 2))),
         st.tuples(st.just(["hilbert-eval"]), dist_args,
                   _opt("--power", small_ints),
-                  _opt("--omega", params),
+                  st.one_of(st.just([]), omegas.map(
+                      lambda v: [f"--omega={v}"])),
                   _opt("--side", st.sampled_from(["pos", "neg", "mid"])),
                   _opt("--method", st.sampled_from(
-                      ["auto", "residue", "dawson", "onesided", "pv"]))),
+                      ["auto", "residue", "dawson", "onesided",
+                       "closed-form", "pv"]))),
         st.lists(st.text(max_size=6), max_size=4).map(lambda a: (a,)),
     ).map(lambda parts: sum(parts, []))
 
@@ -171,3 +180,22 @@ def test_cli_exits_with_a_code_for_any_input(market, data):
             except SystemExit as exc:  # argparse usage errors and --help
                 code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+@pytest.mark.parametrize("omega", ["1e12", "-1e12", "1e15", "-1e15",
+                                   "1e308", "-1e308"])
+def test_hilbert_eval_at_the_float_edges_prints_a_result_or_one_reason(
+        omega):
+    # every law, side, route and power: random draws rarely get past the
+    # argument checks to these points
+    for law, side, method, power in itertools.product(
+            LAWS, ([], ["--side", "pos"], ["--side", "neg"]),
+            ("auto", *ROUTES), ("1", "3")):
+        argv = ["hilbert-eval", "--dist", law, f"--omega={omega}",
+                "--method", method, "--power", power, *side]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = (out if code == 0 else err).getvalue().splitlines()
+        assert len(lines) == (3 if code == 0 else 1), (argv, lines)
+        assert (err if code == 0 else out).getvalue() == "", argv

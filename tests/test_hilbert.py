@@ -27,6 +27,7 @@ from netexposure.charfn import CharFn, Pole, RationalForm
 from netexposure.transforms import (
     _XD_BOUND,
     ToleranceError,
+    TruncationError,
     _normal_abs_mean,
     _pv,
 )
@@ -325,6 +326,35 @@ def test_pv_tolerance_error_carries_achieved(monkeypatch):
     with pytest.raises(ToleranceError) as exc:
         hb.hilbert_eval(f, 1.0, tol=1e-9, method="pv").value
     assert exc.value.achieved > 0
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-10])
+@pytest.mark.parametrize("omega", [1e2, 1e4, 1e6, 1e9, 1e12, -1e6])
+def test_pv_far_from_zero_stays_within_tol(omega, tol):
+    # in the folded integrand the c.f.'s mass sits at u = |w|, so the mesh
+    # is graded there as well as at 0
+    from scipy.special import dawsn
+
+    cases = [
+        (charfn_of(NormalSym(1.0)),
+         2 / math.sqrt(math.pi) * dawsn(omega / math.sqrt(2))),
+        (charfn_of(LaplaceSym(1.0)), omega / (1 + omega * omega)),
+        (cf_product([charfn_of(UniformSym(1.0))] * 2),
+         (2 * omega - math.sin(2 * omega)) / (2 * omega * omega)),
+    ]
+    for f, want in cases:
+        got = hilbert_eval(f, omega, tol, method="pv")
+        assert abs(got.value - want) <= tol and got.error <= tol
+
+
+def test_pv_beyond_the_truncation_limit_takes_no_sample():
+    def fn(t):
+        raise AssertionError("sampled")
+
+    for omega in (1e13, -1e13, 1e308):
+        with pytest.raises(TruncationError) as exc:
+            hilbert_eval(CharFn(fn=fn), omega, method="pv")
+        assert f"|omega| = {abs(omega):g} is beyond" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------
