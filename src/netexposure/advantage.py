@@ -19,15 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 
-from .charfn import Distribution, LaplaceSym, NormalSym
 from .exposure import (
-    DEFAULT_TOL,
     exact_exposure,
     expected_bilateral_market,
     expected_multilateral_market,
 )
-# not called here; the benchmark's tracer (bench/spans.py) wraps this binding
-from .transforms import hilbert_deriv_at_zero
+from .laws import DEFAULT_TOL, Distribution, LaplaceSym, NormalSym
 from .market import Market
 
 __all__ = [
@@ -42,6 +39,15 @@ __all__ = [
 _TIE_REL_TOL = 1e-11
 _TABLE_N_CAP = 100_000
 _TABLE_K_CAP = 30
+
+
+def __getattr__(name: str):
+    """hilbert_deriv_at_zero, bound on first access (PEP 562) as
+    ``transforms`` loads numpy; uncalled, bench/spans.py wraps it."""
+    if name != "hilbert_deriv_at_zero":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import transforms
+    return globals().setdefault(name, transforms.hilbert_deriv_at_zero)
 
 
 def laplace_expected(m: int) -> Fraction:

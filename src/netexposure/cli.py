@@ -12,22 +12,29 @@ import sys
 from dataclasses import fields
 
 from .advantage import ccp_advantage, min_participants_table
-from .charfn import LAWS, MomentError, cf_product, charfn_of
-from .exposure import DEFAULT_TOL, expected_market
-from .transforms import (
-    ROUTES,
-    TruncationError,
-    hilbert_eval,
-    neg_abs_cf,
-    pos_abs_cf,
-)
+from .exposure import expected_market
 from .io import ParseError, format_report, parse_market
+from .laws import DEFAULT_TOL, LAWS, ROUTES, MomentError, TruncationError
 from .market import Bilateral, Custom, MarketError, Multilateral
-from .mc import mc_expected_exposure, mc_market_totals
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_NUMERIC = 2
+_MAX_POWER = 1000  # hilbert-eval; more ran for minutes or out of memory
+
+
+def __getattr__(name: str):
+    """Names from modules that load numpy, bound on first access (PEP 562);
+    commands read them through the module, so a replaced binding is seen."""
+    if name in ("charfn_of", "cf_product"):
+        from . import charfn as module
+    elif name in ("hilbert_eval", "neg_abs_cf", "pos_abs_cf"):
+        from . import transforms as module
+    elif name in ("mc_expected_exposure", "mc_market_totals"):
+        from . import mc as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return globals().setdefault(name, getattr(module, name))
 
 
 def _dist_from_args(args):
@@ -103,9 +110,10 @@ def _cmd_advantage_table(args) -> int:
 
 def _cmd_mc_check(args) -> int:
     market, convention, dist = _load(args)
+    cli = sys.modules[__name__]
     report = expected_market(market, dist, convention, tol=args.tol)
-    estimates = mc_expected_exposure(market, convention, dist,
-                                     args.samples, args.seed)
+    estimates = cli.mc_expected_exposure(market, convention, dist,
+                                         args.samples, args.seed)
     # printed once every z-score exists: a numeric failure prints nothing
     lines = [f"{'owner':<10} {'links':<14} {'analytic':>12} {'mc':>12} "
              f"{'stderr':>10} {'z':>7}"]
@@ -123,7 +131,8 @@ def _cmd_mc_check(args) -> int:
                      "partition)")
     else:
         ccp = convention.cls if isinstance(convention, Multilateral) else None
-        mc = mc_market_totals(market, dist, args.samples, args.seed, ccp)
+        mc = cli.mc_market_totals(market, dist, args.samples, args.seed,
+                                  ccp)
         label = "market total" + (f" (pooled class {ccp})" if ccp else "")
         z = mc.z_score(report.market_total)
         worst = max(worst, abs(z))
@@ -136,14 +145,15 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_hilbert_eval(args) -> int:
-    dist = _dist_from_args(args)
-    base = charfn_of(dist)
+    cli = sys.modules[__name__]
+    base = cli.charfn_of(_dist_from_args(args))
     if args.side == "pos":
-        base = pos_abs_cf(base)
+        base = cli.pos_abs_cf(base)
     elif args.side == "neg":
-        base = neg_abs_cf(base)
-    f = cf_product([base] * args.power)
-    result = hilbert_eval(f, args.omega, tol=args.tol, method=args.method)
+        base = cli.neg_abs_cf(base)
+    f = cli.cf_product([base] * args.power)
+    result = cli.hilbert_eval(f, args.omega, tol=args.tol,
+                              method=args.method)
     value = result.value
     print(f"H{{phi^{args.power}}}({args.omega:g}) = "
           f"{value.real:+.12g}{value.imag:+.12g}i")
@@ -215,8 +225,9 @@ def main(argv=None) -> int:
         if getattr(args, "samples", 2) < 2:
             raise ParseError("--samples must be at least 2 (the standard "
                              f"error needs two draws), got {args.samples}")
-        if getattr(args, "power", 1) < 1:
-            raise ParseError(f"--power must be at least 1, got {args.power}")
+        if not 1 <= getattr(args, "power", 1) <= _MAX_POWER:
+            bound = "at least 1" if args.power < 1 else f"at most {_MAX_POWER}"
+            raise ParseError(f"--power must be {bound}, got {args.power}")
         if not math.isfinite(getattr(args, "omega", 0.0)):
             raise ParseError(f"--omega must be finite, got {args.omega:g}")
         code = args.func(args)
@@ -227,7 +238,8 @@ def main(argv=None) -> int:
             os.dup2(devnull.fileno(), sys.stdout.fileno())
         return EXIT_INVALID
     except (RuntimeError, MomentError, TruncationError, MemoryError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        empty = "out of memory" if isinstance(exc, MemoryError) else ""
+        print(f"numeric failure: {str(exc) or empty}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ParseError, MarketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

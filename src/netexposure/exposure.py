@@ -24,28 +24,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .charfn import (
-    CharFn,
-    Distribution,
-    LaplaceSym,
-    MomentError,
-    NormalSym,
-    UniformSym,
-    charfn_of,
-    cf_product,
-    _square,
-)
-from .transforms import (
-    DEFAULT_TOL,
-    _hilbert_fn,
-    _normal_abs_mean,
-    neg_abs_cf,
-    pos_abs_cf,
-)
-# not called here; the benchmark's tracer (bench/spans.py) wraps this binding
-from .transforms import hilbert_deriv_at_zero
+from .laws import (DEFAULT_TOL, Distribution, LaplaceSym, MomentError,
+                   NormalSym, UniformSym, _square)
 from .market import (
     Bilateral,
     Convention,
@@ -56,6 +38,9 @@ from .market import (
     netting_sets,
     require_valid,
 )
+
+if TYPE_CHECKING:
+    from .charfn import CharFn
 
 __all__ = [
     "SetExposure",
@@ -69,6 +54,15 @@ __all__ = [
     "expected_bilateral_market",
     "expected_multilateral_market",
 ]
+
+
+def __getattr__(name: str):
+    """Transform names, bound on first access (PEP 562) as ``transforms``
+    loads numpy; bench/spans.py wraps the uncalled hilbert_deriv_at_zero."""
+    if name not in ("_normal_abs_mean", "hilbert_deriv_at_zero"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import transforms
+    return globals().setdefault(name, getattr(transforms, name))
 
 
 class SetExposure(NamedTuple):
@@ -143,13 +137,16 @@ def _require_two_sided(dist: Distribution) -> None:
                          f"distribution, got {dist!r}")
 
 
-def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
+def netting_set_cf(m: Market, s: NettingSet, dist: Distribution
+                   ) -> "CharFn":
     """C.f. of the net position of a netting set: the product of one
     signed-absolute-value factor per claim or debt and one symmetric
     factor per undirected link. A claims/debts balance makes the product
     real and even (each claim factor pairs with a debt conjugate), which
     is what unlocks the parity shortcuts downstream.
     """
+    from .charfn import cf_product, charfn_of
+    from .transforms import neg_abs_cf, pos_abs_cf
     _require_two_sided(dist)
     plus, minus, sym = _signature(s.signs)
     if not s.items:
@@ -163,11 +160,13 @@ def netting_set_cf(m: Market, s: NettingSet, dist: Distribution) -> CharFn:
     return f
 
 
-def exposure_cf(f: CharFn, tol: float = DEFAULT_TOL) -> CharFn:
+def exposure_cf(f: "CharFn", tol: float = DEFAULT_TOL) -> "CharFn":
     """C.f. of the clipped position max[Y; 0] given the c.f. of Y:
 
         1/2 [1 + phi(t)] + i/2 [H{phi}(t) - H{phi}(0)].
     """
+    from .charfn import CharFn
+    from .transforms import _hilbert_fn
     transform = _hilbert_fn(f, tol)
     h0 = 0j if f.even_real else complex(transform(0.0))
     inner = f.fn
@@ -223,7 +222,9 @@ def _signature_exposure(dist: Distribution, signature: tuple[int, int, int],
     if not (plus or minus):
         value = 0.5 * math.sqrt(2.0 * (sym * v) / math.pi)
         return _finite(value), "closed-form", 0.0, None
-    abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
+    # through the module attribute, which binds on first use
+    abs_y, error = sys.modules[__name__]._normal_abs_mean(
+        plus, minus, sym, tol / dist.sigma)
     value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * (dist.sigma * abs_y)
     method = "shortcut" if plus == minus else "numeric"
     return _finite(max(value, 0.0)), method, 0.5 * (dist.sigma * error), None

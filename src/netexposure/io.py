@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .charfn import LAWS, Distribution
+from .laws import LAWS, Distribution
 from .market import (
     Bilateral,
     Convention,

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .charfn import Distribution, MomentError, sample
+from .charfn import sample
+from .laws import Distribution, MomentError
 from .market import (
     Convention,
     Market,

@@ -41,6 +41,7 @@ from .charfn import (
     cf_mean,
     charfn_of,
 )
+from .laws import DEFAULT_TOL, ROUTES, TruncationError
 
 __all__ = [
     "dawson",
@@ -52,12 +53,8 @@ __all__ = [
     "pos_abs_cf",
     "neg_abs_cf",
     "HilbertResult",
-    "ROUTES",
     "ToleranceError",
-    "TruncationError",
 ]
-
-DEFAULT_TOL = 1e-7  # for calls that name no tol; also the CLI's --tol default
 
 
 class ToleranceError(RuntimeError):
@@ -67,10 +64,6 @@ class ToleranceError(RuntimeError):
         super().__init__(message)
         self.achieved = achieved
         self.value = value
-
-
-class TruncationError(ValueError):
-    """The integrand is still above its tail bound at ``_PV_TMAX``."""
 
 
 @dataclass(frozen=True)
@@ -460,9 +453,6 @@ def _normal_abs_mean(a: int, b: int, c: int, tol: float):
 # ---------------------------------------------------------------------------
 # Dispatcher
 # ---------------------------------------------------------------------------
-
-ROUTES = ("residue", "dawson", "onesided", "closed-form", "pv")
-
 
 def _unfit(f: CharFn, method: str) -> str:
     """Why ``method`` cannot transform f; empty when it can."""

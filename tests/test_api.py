@@ -1,16 +1,21 @@
 """The public surface: every ``__all__`` entry and package re-export
 resolves to a real object, the package's modules import each other
-without a cycle and use every name they import, one constant owns the
-default tolerance, and the README's library quick start runs."""
+without a cycle and use every name they import, the exact path loads no
+numpy, one constant owns the default tolerance, and the README's library
+quick start runs."""
 
 import ast
 import contextlib
 import importlib
 import inspect
 import io
+import json
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -81,6 +86,102 @@ def test_module_import_graph_is_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+# modules whose load imports no numpy, and the modules that do
+NUMPY_FREE = ("__init__", "laws", "market", "io", "exposure", "advantage",
+              "cli")
+NUMERIC = ("numpy", "netexposure.charfn", "netexposure.transforms",
+           "netexposure.mc")
+
+
+def _load_time_imports(source: str) -> set[str]:
+    """Modules that a module's statements import when it loads: all but
+    those in function bodies and under ``if TYPE_CHECKING:``. Siblings are
+    written ".name"."""
+    out = set()
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) == (
+                "TYPE_CHECKING"):
+            todo.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0:
+                out.add(node.module.split(".")[0])
+            elif node.module:
+                out.add("." + node.module.split(".")[0])
+            else:
+                out.update("." + alias.name for alias in node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_exact_path_modules_import_no_numpy_when_they_load():
+    # numpy costs more than any Laplace or uniform command; the numeric
+    # modules load it, and bind in these modules on first use only
+    root = Path(netexposure.__file__).parent
+    for stem in NUMPY_FREE:
+        imports = _load_time_imports((root / f"{stem}.py").read_text())
+        siblings = {name[1:] for name in imports if name.startswith(".")}
+        assert "numpy" not in imports, stem
+        assert siblings <= set(NUMPY_FREE), (stem, siblings)
+
+
+def test_load_time_import_check_sees_module_level_imports():
+    source = ("import numpy.random as npr\nfrom . import mc\ntry:\n"
+              "    from .charfn import x\nexcept ImportError:\n    pass\n"
+              "class A:\n    from .io import y\n"
+              "def f():\n    from . import transforms\n"
+              "if TYPE_CHECKING:\n    from .transforms import z\n")
+    assert _load_time_imports(source) == {"numpy", ".mc", ".charfn", ".io"}
+
+
+def test_exact_commands_load_no_numpy(tmp_path):
+    # in a fresh interpreter: analyze and compare-netting on Laplace and
+    # uniform markets and every advantage-table; a normal market with
+    # directed links then loads the transforms, and not the oracle
+    golden = Path(__file__).parent / "data" / "golden"
+    laplace = golden / "laplace-12.json"
+    uniform = tmp_path / "uniform-12.json"
+    uniform.write_text(json.dumps({**json.loads(laplace.read_text()),
+                                   "dist": {"type": "uniform",
+                                            "half_width": 2.5}}))
+    commands = [[*command, "--market", str(path)]
+                for path in (laplace, uniform)
+                for command in (["analyze"], ["analyze", "--format", "json"],
+                                ["compare-netting", "--class", "1"])]
+    commands += [["advantage-table", "--dist", law]
+                 for law in ("laplace", "uniform", "normal")]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import netexposure.cli as cli\n"
+        f"numeric = {NUMERIC!r}\n"
+        "loaded = lambda: [m for m in numeric if m in sys.modules]\n"
+        "print(json.dumps([None, 0, loaded()]))\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = cli.main(argv)\n"
+        "    print(json.dumps([argv[0], code, loaded()]))\n")
+    src = str(Path(netexposure.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(
+            commands + [["analyze", "--market",
+                         str(golden / "normal-5.json")]])],
+        capture_output=True, text=True, env=env, timeout=120, check=True)
+    *exact, last = map(json.loads, done.stdout.splitlines())
+    assert len(exact) == len(commands) + 1
+    for command, code, loaded in exact:
+        assert (code, loaded) == (0, []), command
+    assert last == ["analyze", 0, list(NUMERIC[:3])]
 
 
 def _unused_imports(source: str) -> set[str]:

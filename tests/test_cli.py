@@ -401,6 +401,39 @@ def test_hilbert_eval_power_below_one_exits_one(capsys, power):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("power", ["1001", "100000000", "10000000000"])
+def test_hilbert_eval_power_above_1000_exits_one(capsys, power):
+    # these ran for minutes, or ended in a MemoryError, before the cap
+    assert main(["hilbert-eval", "--dist", "normal", "--power", power,
+                 "--omega", "1.0"]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: --power must be at most 1000, got {power}\n")
+
+
+@pytest.mark.parametrize("law, code", [("normal", 0), ("uniform", 0),
+                                       ("laplace", 2)])
+def test_hilbert_eval_takes_power_1000(capsys, law, code):
+    assert main(["hilbert-eval", "--dist", law, "--power", "1000",
+                 "--omega", "1.0"]) == code
+    out, err = capsys.readouterr()
+    assert len((out if code == 0 else err).splitlines()) == (
+        3 if code == 0 else 1)
+
+
+@pytest.mark.parametrize("exc, reason", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("cannot allocate 80 GB"), "cannot allocate 80 GB")])
+def test_memory_error_names_a_reason(monkeypatch, capsys, exc, reason):
+    import netexposure.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "hilbert_eval", exhausted)
+    assert main(["hilbert-eval", "--dist", "normal", "--omega", "1"]) == 2
+    assert capsys.readouterr() == ("", f"numeric failure: {reason}\n")
+
+
 def test_help_states_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])

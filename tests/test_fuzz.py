@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netexposure.charfn import LAWS
+from netexposure.laws import LAWS
 from netexposure.cli import main
 from netexposure.io import ParseError, parse_market_data
 from netexposure.market import MarketError
@@ -180,6 +180,40 @@ def test_cli_exits_with_a_code_for_any_input(market, data):
             except SystemExit as exc:  # argparse usage errors and --help
                 code = exc.code
     assert code in (0, 1, 2), (argv, code, err.getvalue())
+
+
+@st.composite
+def hilbert_commands(draw):
+    """Well-formed hilbert-eval command lines: every one gets past the
+    argument checks, so the draws reach the transforms."""
+    law = draw(st.sampled_from(list(LAWS)))
+    argv = ["hilbert-eval", "--dist", law]
+    for f in fields(LAWS[law]):
+        argv.append(f"--{f.name.replace('_', '-')}="
+                    f"{draw(st.floats(1e-3, 1e3))!r}")
+    power = draw(st.integers(1, 4))
+    # left out: a forced pv on one uniform factor, with or without a side,
+    # takes 0.7-2.4 s per call (its c.f. decays only like 1/t)
+    slow = law == "uniform" and power == 1
+    method = draw(st.sampled_from(
+        ["auto", *(r for r in ROUTES if not (slow and r == "pv"))]))
+    side = draw(st.sampled_from([[], ["--side", "pos"], ["--side", "neg"]]))
+    omega = draw(st.floats(-1e6, 1e6))
+    return argv + [f"--power={power}", "--method", method, *side,
+                   f"--omega={omega!r}"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=hilbert_commands())
+def test_well_formed_hilbert_eval_prints_a_result_or_one_reason(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    # only a forced route that does not fit the c.f. is invalid input
+    assert code in ((0, 2) if "auto" in argv else (0, 1, 2)), argv
+    lines = (out if code == 0 else err).getvalue().splitlines()
+    assert len(lines) == (3 if code == 0 else 1), (argv, lines)
+    assert (err if code == 0 else out).getvalue() == "", argv
 
 
 @pytest.mark.parametrize("omega", ["1e12", "-1e12", "1e15", "-1e15",

@@ -7,7 +7,8 @@ from dataclasses import MISSING, fields
 import pytest
 
 import netexposure.cli as cli
-from netexposure.charfn import LAWS, Distribution, charfn_of
+from netexposure.charfn import charfn_of
+from netexposure.laws import LAWS, Distribution
 from netexposure.io import (
     ParseError,
     dist_from_json,
