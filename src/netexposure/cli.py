@@ -24,17 +24,12 @@ _MAX_POWER = 1000  # hilbert-eval; more ran for minutes or out of memory
 
 
 def __getattr__(name: str):
-    """Names from modules that load numpy, bound on first access (PEP 562);
-    commands read them through the module, so a replaced binding is seen."""
-    if name in ("charfn_of", "cf_product"):
-        from . import charfn as module
-    elif name in ("hilbert_eval", "neg_abs_cf", "pos_abs_cf"):
-        from . import transforms as module
-    elif name in ("mc_expected_exposure", "mc_market_totals"):
-        from . import mc as module
-    else:
+    """The Monte Carlo entry points, bound on first access (PEP 562); read
+    through the module, so the benchmark's wrapped binding is seen."""
+    if name not in ("mc_expected_exposure", "mc_market_totals"):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return globals().setdefault(name, getattr(module, name))
+    from . import mc
+    return globals().setdefault(name, getattr(mc, name))
 
 
 def _dist_from_args(args):
@@ -145,15 +140,15 @@ def _cmd_mc_check(args) -> int:
 
 
 def _cmd_hilbert_eval(args) -> int:
-    cli = sys.modules[__name__]
-    base = cli.charfn_of(_dist_from_args(args))
+    from .charfn import cf_product, charfn_of
+    from .transforms import hilbert_eval, neg_abs_cf, pos_abs_cf
+    base = charfn_of(_dist_from_args(args))
     if args.side == "pos":
-        base = cli.pos_abs_cf(base)
+        base = pos_abs_cf(base)
     elif args.side == "neg":
-        base = cli.neg_abs_cf(base)
-    f = cli.cf_product([base] * args.power)
-    result = cli.hilbert_eval(f, args.omega, tol=args.tol,
-                              method=args.method)
+        base = neg_abs_cf(base)
+    f = cf_product([base] * args.power)
+    result = hilbert_eval(f, args.omega, tol=args.tol, method=args.method)
     value = result.value
     print(f"H{{phi^{args.power}}}({args.omega:g}) = "
           f"{value.real:+.12g}{value.imag:+.12g}i")

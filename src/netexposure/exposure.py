@@ -57,12 +57,12 @@ __all__ = [
 
 
 def __getattr__(name: str):
-    """Transform names, bound on first access (PEP 562) as ``transforms``
-    loads numpy; bench/spans.py wraps the uncalled hilbert_deriv_at_zero."""
-    if name not in ("_normal_abs_mean", "hilbert_deriv_at_zero"):
+    """hilbert_deriv_at_zero, bound on first access (PEP 562) as
+    ``transforms`` loads numpy; uncalled, bench/spans.py wraps it."""
+    if name != "hilbert_deriv_at_zero":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import transforms
-    return globals().setdefault(name, getattr(transforms, name))
+    return globals().setdefault(name, transforms.hilbert_deriv_at_zero)
 
 
 class SetExposure(NamedTuple):
@@ -222,9 +222,8 @@ def _signature_exposure(dist: Distribution, signature: tuple[int, int, int],
     if not (plus or minus):
         value = 0.5 * math.sqrt(2.0 * (sym * v) / math.pi)
         return _finite(value), "closed-form", 0.0, None
-    # through the module attribute, which binds on first use
-    abs_y, error = sys.modules[__name__]._normal_abs_mean(
-        plus, minus, sym, tol / dist.sigma)
+    from .transforms import _normal_abs_mean
+    abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
     value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * (dist.sigma * abs_y)
     method = "shortcut" if plus == minus else "numeric"
     return _finite(max(value, 0.0)), method, 0.5 * (dist.sigma * error), None

@@ -85,17 +85,6 @@ class Market:
     def _errors(self) -> tuple[str, ...]:
         return tuple(validate_market(self))
 
-    def incident_links(self, vertex: str, cls: int | None = None
-                       ) -> list[int]:
-        return [i for i, a in enumerate(self.links)
-                if a.incident(vertex) and (cls is None or a.cls == cls)]
-
-    def neighbourhood(self, vertex: str, cls: int | None = None) -> list[str]:
-        seen: dict[str, None] = {}
-        for i in self.incident_links(vertex, cls):
-            seen.setdefault(self.links[i].other(vertex))
-        return list(seen)
-
 
 @dataclass(frozen=True)
 class DegreeProfile:

@@ -26,6 +26,7 @@ DEFAULT_TOL, which is also the CLI's --tol default.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -60,10 +61,9 @@ __all__ = [
 class ToleranceError(RuntimeError):
     """Quadrature could not reach the requested tolerance."""
 
-    def __init__(self, message: str, achieved: float, value: complex):
+    def __init__(self, message: str, achieved: float):
         super().__init__(message)
         self.achieved = achieved
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -152,39 +152,31 @@ def _series_mul(a: list[complex], b: list[complex],
 
 
 def _upper_residue(form: RationalForm, pole: Pole, omega: float) -> complex:
-    """Residue of f(z)/(omega - z) at the given pole of order m, computed
-    as the (m-1)-th Taylor coefficient of (z-p)^m f(z)/(omega-z) around p.
-    Every factor has an elementary local expansion, so no symbolic
-    machinery and no root finding is involved.
-    """
-    p, m = pole.location, pole.order
-    order = m - 1
-    series = [1 + 0j] + [0j] * order
-    # geometric series of 1/(omega - z) around p
-    wp = omega - p
-    geo = [(1.0 / wp) ** (k + 1) for k in range(order + 1)]
-    series = _series_mul(series, geo, order)
-    # binomial series of (z - q)^(-mq) around p for the other poles
-    for other in form.poles:
-        if other.location == p:
-            continue
-        base = p - other.location
-        mq = other.order
-        coef = 1.0
-        fac = [base ** (-mq)]
+    """Residue of f(z)/(omega - z) = -c / ((z - omega) prod_j (z - p_j)^(m_j))
+    at its pole p of order m: the (m-1)-th Taylor coefficient around p of -c
+    times each other factor (z - a)^(-n), expanded by the ratio recurrence
+    of its binomial series (coefficient and power apart overflow at high
+    orders). OverflowError when c or a (p - a)^(-n) loses its digits below
+    the normal range."""
+    p, order = pole.location, pole.order - 1
+    series = [-form.constant] + [0j] * order
+    others = [(q.location, q.order) for q in form.poles if q.location != p]
+    for a, n in [(omega, 1), *others]:
+        fac = [(p - a) ** -n]
+        if min(abs(fac[0]), abs(form.constant)) < sys.float_info.min:
+            raise OverflowError("leading coefficient below the normal range")
         for k in range(1, order + 1):
-            coef *= -(mq + k - 1) / k
-            fac.append(coef * base ** (-mq - k))
+            fac.append(fac[-1] * -(n + k - 1) / (k * (p - a)))
         series = _series_mul(series, fac, order)
-    return form.constant * series[order]
+    return series[order]
 
 
 def hilbert_rational(f: CharFn, omega: float) -> complex:
     """Residue-calculus transform of a factored rational function.
 
     Requires at least one pole, so that the function vanishes at infinity,
-    and every pole off the real axis. ToleranceError when the
-    residues leave the floating-point range (poles and constants of an
+    and every pole off the real axis. ToleranceError when the residues
+    leave the normal floating-point range (poles and constants of an
     extreme scale raised to a high power).
     """
     if reason := _unfit(f, "residue"):
@@ -194,15 +186,17 @@ def hilbert_rational(f: CharFn, omega: float) -> complex:
         for p in form.poles:
             if p.location.imag > 0:
                 total += 2j * _upper_residue(form, p, omega)
-        # simple real pole at omega contributes i * Res = -i * f(omega)
-        with np.errstate(all="ignore"):
-            total += -1j * complex(form(omega))
+        # simple real pole at omega contributes i * Res = -i * f(omega),
+        # imaginary for a real f, whose transform is real
+        if not f.even_real:
+            with np.errstate(all="ignore"):
+                total += -1j * complex(form(omega))
     except (ZeroDivisionError, OverflowError):
         total = complex("nan")
     if not np.isfinite(total):
         raise ToleranceError("residue sum outside the floating-point range",
-                             math.inf, total)
-    return total
+                             math.inf)
+    return complex(total.real) if f.even_real else total
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +332,7 @@ def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
             raise ToleranceError(
                 f"quadrature stalled at estimated error {achieved:.3e} "
                 f"(requested {tol:.3e}, rounding floor {floor:.3e})",
-                achieved, scale * vals.sum())
+                achieved)
         k = max(1, lo.size // 4)
         thresh = np.partition(errs, -k)[-k]
         mask = errs >= thresh
@@ -425,7 +419,7 @@ def _normal_abs_mean(a: int, b: int, c: int, tol: float):
     if rounding > tol / 4:
         raise ToleranceError(f"E|Y| series: requested {tol:.3e} is below "
                              f"the rounding floor {4 * rounding:.3e} (per "
-                             "unit of the law's scale)", rounding, math.nan)
+                             "unit of the law's scale)", rounding)
     beta = c * math.pi ** 2 / (2 * L * L)
 
     def remainder(K: int) -> float:
@@ -526,21 +520,17 @@ def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL) -> Callable:
 # Derivative of the transform at zero
 # ---------------------------------------------------------------------------
 
-def hilbert_deriv_at_zero(f: CharFn, tol: float = DEFAULT_TOL, *,
-                          with_error: bool = False):
+def hilbert_deriv_at_zero(f: CharFn, tol: float = DEFAULT_TOL) -> float:
     """d/dw H{f}(w) at w = 0, which is E|Y| for the variable Y with c.f. f
     (E(max[Y; 0]) = 1/2 E(Y) + 1/2 dH(0) and max[Y; 0] = 1/2 (Y + |Y|)).
 
     sqrt(2v/pi) for Gaussian variance v, |mean| for one-sided functions,
-    one adaptive quadrature (_abs_mean) for everything else. Returns the
-    value, or (value, error estimate) when with_error is set.
+    one adaptive quadrature (_abs_mean, whose error estimate it drops)
+    for everything else.
     """
     if f.gaussian_variance is not None:
-        value, error = math.sqrt(2.0 * f.gaussian_variance / math.pi), 0.0
-    elif f.side in (+1, -1):
-        value, error = abs(cf_mean(f)), 0.0
-    else:
-        value, error = _abs_mean(f.fn, tol)
-    value, error = float(value), float(error)
-    return (value, error) if with_error else value
+        return math.sqrt(2.0 * f.gaussian_variance / math.pi)
+    if f.side in (+1, -1):
+        return float(abs(cf_mean(f)))
+    return float(_abs_mean(f.fn, tol)[0])
 

@@ -410,26 +410,50 @@ def test_hilbert_eval_power_above_1000_exits_one(capsys, power):
         "", f"error: --power must be at most 1000, got {power}\n")
 
 
-@pytest.mark.parametrize("law, code", [("normal", 0), ("uniform", 0),
-                                       ("laplace", 2)])
-def test_hilbert_eval_takes_power_1000(capsys, law, code):
-    assert main(["hilbert-eval", "--dist", law, "--power", "1000",
-                 "--omega", "1.0"]) == code
-    out, err = capsys.readouterr()
-    assert len((out if code == 0 else err).splitlines()) == (
-        3 if code == 0 else 1)
+def hilbert_cli(capsys, *argv) -> tuple[str, str, float]:
+    """The value as printed, the method and the error estimate of one
+    successful hilbert-eval run."""
+    assert main(["hilbert-eval", *argv]) == 0
+    value, method, error = capsys.readouterr().out.splitlines()
+    return (value.split(" = ")[1], method.removeprefix("method: "),
+            float(error.removeprefix("error estimate: ")))
+
+
+def as_complex(printed: str) -> complex:
+    return complex(printed.replace("i", "j"))
+
+
+@pytest.mark.parametrize("law", ["normal", "uniform", "laplace"])
+def test_hilbert_eval_takes_power_1000(capsys, law):
+    argv = ["--dist", law, "--power", "1000", "--omega", "1"]
+    value, method, _ = hilbert_cli(capsys, *argv)
+    if law == "laplace":
+        # the residue tier answers, within the principal value's estimate
+        pv, _, error = hilbert_cli(capsys, *argv, "--method", "pv")
+        assert method == "residue"
+        assert abs(as_complex(value) - as_complex(pv)) <= error
+
+
+@pytest.mark.parametrize("omega", ["-0.35", "1", "1e3"])
+@pytest.mark.parametrize("power", ["1", "3", "100", "515", "1000"])
+def test_hilbert_eval_of_an_even_cf_is_real(capsys, power, omega):
+    # the transform of a real function is real, whatever the rounding of
+    # the residue sum
+    value, method, _ = hilbert_cli(capsys, "--dist", "laplace", "--power",
+                                   power, "--omega", omega)
+    assert (method, value[-3:]) == ("residue", "+0i")
 
 
 @pytest.mark.parametrize("exc, reason", [
     (MemoryError(), "out of memory"),
     (MemoryError("cannot allocate 80 GB"), "cannot allocate 80 GB")])
 def test_memory_error_names_a_reason(monkeypatch, capsys, exc, reason):
-    import netexposure.cli as cli
+    import netexposure.transforms as transforms
 
     def exhausted(*args, **kwargs):
         raise exc
 
-    monkeypatch.setattr(cli, "hilbert_eval", exhausted)
+    monkeypatch.setattr(transforms, "hilbert_eval", exhausted)
     assert main(["hilbert-eval", "--dist", "normal", "--omega", "1"]) == 2
     assert capsys.readouterr() == ("", f"numeric failure: {reason}\n")
 

@@ -3,11 +3,15 @@ the principal-value quadrature that cross-checks them all."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netexposure import (
+    Exponential,
     Gamma,
     LaplaceSym,
     NormalSym,
@@ -436,6 +440,61 @@ def test_double_transform_negates():
     for w in (0.5, 1.5):
         got = hilbert_eval(g, w, tol=1e-8, method="pv").value
         assert got == pytest.approx(-1.0 / (1 + w * w), abs=1e-7)
+
+
+def assert_residue_matches_pv(f, omega):
+    pv = hilbert_eval(f, omega, method="pv")
+    value = hilbert_eval(f, omega, method="residue").value
+    assert abs(value - pv.value) <= pv.error + 1e-12 * max(1.0, abs(pv.value))
+
+
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+omegas = st.builds(lambda sign, w: sign * w, st.sampled_from([-1, 1]),
+                   log_uniform(1e-3, 1e3))
+# where the constant (1/b^2)^p and the leading coefficient (b/2)^p of the
+# pole at i/b are both normal floats, the residue tier answers; outside it
+# refuses (CHANGES.md)
+NORMAL_LOG10 = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
+
+
+@settings(max_examples=60, deadline=None)
+@given(log_uniform(1, 1000).map(round), log_uniform(1e-3, 1.5), omegas)
+@example(50, 1e-3, 1e3)  # small terms of the old expansion underflowed
+@example(1000, 1.0, 1.0)  # its binomial coefficients overflowed
+def test_residue_matches_pv_on_laplace_powers(power, scale, omega):
+    f = cf_product([charfn_of(LaplaceSym(scale))] * power)
+    lo, hi = NORMAL_LOG10
+    if all(lo < power * math.log10(x) < hi for x in (scale ** -2, scale / 2)):
+        assert_residue_matches_pv(f, omega)
+    else:
+        with pytest.raises(ToleranceError, match="floating-point range"):
+            hilbert_eval(f, omega, method="residue")
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), log_uniform(1e-2, 1e2),
+       st.sampled_from([pos_abs_cf, neg_abs_cf]), omegas)
+def test_residue_matches_pv_on_one_sided_powers(shape, power, scale, side,
+                                                 omega):
+    # shape 1 is the exponential law; the positive side has no pole in the
+    # upper half plane, the negative one its pole of order shape * power
+    law = Exponential(scale) if shape == 1 else Gamma(float(shape), scale)
+    f = cf_product([side(charfn_of(law))] * power)
+    assert_residue_matches_pv(f, omega)
+
+
+@settings(max_examples=30, deadline=None)
+@given(log_uniform(1e-3, 1.5), st.floats(0.02, 3), omegas)
+def test_residue_matches_pv_on_two_laplace_scales(scale, log_ratio, omega):
+    # four simple poles; a second scale near the first cancels digits
+    # (error about eps b^2 / |b^2 - b'^2|), so the two stay apart
+    other = scale * 10 ** -log_ratio
+    f = cf_product([charfn_of(LaplaceSym(b)) for b in (scale, other)])
+    assert len(f.rational.poles) == 4
+    assert_residue_matches_pv(f, omega)
 
 
 # ---------------------------------------------------------------------------

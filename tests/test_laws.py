@@ -6,6 +6,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+import netexposure.charfn as charfn
 import netexposure.cli as cli
 from netexposure.charfn import charfn_of
 from netexposure.laws import LAWS, Distribution
@@ -91,7 +92,7 @@ def _cli_law(monkeypatch, argv):
         seen.append(dist)
         return charfn_of(dist)
 
-    monkeypatch.setattr(cli, "charfn_of", record)
+    monkeypatch.setattr(charfn, "charfn_of", record)
     assert cli.main(["hilbert-eval", "--omega", "1"] + argv) == 0
     (dist,) = seen
     return dist
