@@ -132,18 +132,18 @@ def _gamma_cf(shape: float, scale: float, dist: Distribution) -> CharFn:
     shape is an integer, branch-cut one-sided function otherwise."""
     b = scale
 
-    def fn(t):
-        t = np.asarray(t, dtype=complex)
-        return (1.0 - 1j * b * t) ** (-shape)
+    def fn(t):  # the power underflows to 0 where |b t|^alpha overflows
+        return np.exp(-shape * np.log1p(-1j * b * np.asarray(t, complex)))
 
     rational = None
     if float(shape).is_integer():
         order = int(round(shape))
-        # 1 - i b t = -i b (t + i/b), so the constant is (i/b)^alpha
-        rational = RationalForm(
-            constant=(1j / b) ** order,
-            poles=(Pole(-1j / b, order),),
-        )
+        # 1 - i b t = -i b (t + i/b), so the constant is (i/b)^alpha; its
+        # size may overflow to inf, which the residue sum reports
+        with np.errstate(over="ignore"):
+            size = float(np.float64(1.0 / b) ** order)
+        rational = RationalForm(constant=1j ** (order % 4) * size,
+                                poles=(Pole(-1j / b, order),))
     return CharFn(
         fn=fn,
         rational=rational,
@@ -214,8 +214,9 @@ _CONST_ONE = CharFn(
 
 
 def _merge_rational(forms: Sequence[RationalForm]) -> RationalForm:
-    # an overflowing constant is reported by the residue sum it feeds
-    with np.errstate(over="ignore"):
+    # an overflowing constant (inf, or nan from inf times 0) is reported by
+    # the residue sum it feeds
+    with np.errstate(over="ignore", invalid="ignore"):
         constant = complex(np.prod([f.constant for f in forms]))
     poles: dict[complex, int] = {}
     for f in forms:

@@ -2,14 +2,18 @@
 
 A netting set's expected exposure E(max[Y; 0]) depends only on its
 signature, the counts of claims, debts and undirected links, and on the
-law, so a market evaluation values each signature once, from the
-signature alone (``_signature_exposure``). Laplace and uniform sets, and
-sets of debts only, get their exact rational value (``exact_exposure``),
-which makes whole-market regressions bit-reproducible. A normal set of
-claims only is worth E(Y), one of undirected links only sqrt(var Y /
-(2 pi)). Every other normal set is E = 1/2 E(Y) + 1/2 E|Y|, with sigma
-times a bounded unit-sigma cosine series for E|Y|
-(``transforms._normal_abs_mean``), so its error is a computed bound.
+law (``_signature_exposure``). So a market's totals come from its
+signature census (``market._partition``): each signature is valued once
+and added once per set, and the per-set rows of a report are built only
+when it lists them (``ExposureReport.per_netting_set``).
+
+Laplace and uniform sets, and sets of debts only, get their exact
+rational value (``exact_exposure``), which makes whole-market
+regressions bit-reproducible. A normal set of claims only is worth E(Y),
+one of undirected links only sqrt(var Y / (2 pi)). Every other normal
+set is E = 1/2 E(Y) + 1/2 E|Y|, with sigma times a bounded unit-sigma
+cosine series for E|Y| (``transforms._normal_abs_mean``), so its error
+is a computed bound.
 
 The paper's characteristic-function route stays as library API and as
 the tests' independent reference: ``netting_set_cf`` is the c.f. of the
@@ -21,20 +25,23 @@ clipped position max[Y; 0].
 import math
 import sys
 import warnings
-from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import TYPE_CHECKING, NamedTuple
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .laws import (DEFAULT_TOL, Distribution, LaplaceSym, MomentError,
                    NormalSym, UniformSym, _square)
 from .market import (
     Bilateral,
     Convention,
+    Custom,
     Market,
     Multilateral,
     NettingSet,
     SIGN_SYMMETRIC,
+    _kind,
+    _partition,
     netting_sets,
     require_valid,
 )
@@ -79,13 +86,20 @@ class SetExposure(NamedTuple):
 
 @dataclass(frozen=True)
 class ExposureReport:
+    """A market evaluation; ``per_netting_set`` is made from the rows it
+    is given (any iterable, read once) on first read."""
+
     convention: str
-    per_netting_set: tuple[SetExposure, ...]
+    _rows: Iterable[SetExposure] = field(repr=False)
     per_participant: dict[str, float]
     market_total: float
     market_total_exact: Fraction | None
     components: dict[str, float]
     pair_view: dict[tuple[str, str], float]
+
+    @cached_property
+    def per_netting_set(self) -> tuple[SetExposure, ...]:
+        return tuple(self._rows)
 
 
 def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
@@ -249,47 +263,6 @@ def eulerian_shortcut(m: Market, s: NettingSet, dist: Distribution,
 # Market-level aggregation
 # ---------------------------------------------------------------------------
 
-def _aggregate(m: Market, sets: dict[str, list[NettingSet]],
-               dist: Distribution, tol: float, convention: str,
-               components_of: dict[str, str]) -> ExposureReport:
-    """``components_of`` maps a set kind's prefix to its component."""
-    per_set: list[SetExposure] = []
-    per_participant = {v: 0.0 for v in m.participants}
-    components: dict[str, float] = {}
-    pair_view: dict[tuple[str, str], float] = {}
-    cache: dict = {}  # one market evaluation: one law, one tolerance
-    for v in m.participants:
-        for s in sets.get(v, []):
-            e = expected_exposure(m, s, dist, tol, cache)
-            per_set.append(e)
-            per_participant[v] += e.value
-            prefix, _, peer = e.kind.partition(":")
-            if prefix in components_of:
-                key = components_of[prefix]
-                components[key] = components.get(key, 0.0) + e.value
-            if prefix == "bilateral":
-                key = (v, peer) if v < peer else (peer, v)
-                pair_view[key] = pair_view.get(key, 0.0) + e.value
-    total = _finite(sum(e.value for e in per_set))
-    # cache hits share their signature's Fraction object: add each object
-    # once, times its count, instead of once per set
-    exacts = [e.exact for e in per_set]
-    counts = Counter(map(id, exacts))
-    exact = None
-    if per_set and id(None) not in counts:
-        values = dict(zip(map(id, exacts), exacts))
-        exact = sum((n * values[k] for k, n in counts.items()), Fraction(0))
-    return ExposureReport(
-        convention=convention,
-        per_netting_set=tuple(per_set),
-        per_participant=per_participant,
-        market_total=total,
-        market_total_exact=exact,
-        components=components,
-        pair_view=pair_view,
-    )
-
-
 def expected_bilateral_market(m: Market, dist: Distribution,
                               tol: float = DEFAULT_TOL) -> ExposureReport:
     """Expected exposure under bilateral netting: the ordered double sum
@@ -309,19 +282,67 @@ def expected_multilateral_market(m: Market, dist: Distribution,
 
 def expected_market(m: Market, dist: Distribution, convention: Convention,
                     tol: float = DEFAULT_TOL) -> ExposureReport:
-    """Expected exposure under any convention (custom partitions included)."""
+    """Expected exposure under any convention (custom partitions included),
+    from the signature census of its netting sets. Each signature is valued
+    once, by ``expected_exposure`` on its first set, and each set adds that
+    value in set order, so every float total is the set-by-set sum."""
     require_valid(m)
-    sets = netting_sets(m, convention)
-    if isinstance(convention, Bilateral):
-        return _aggregate(m, sets, dist, tol, convention="bilateral",
-                          components_of={"bilateral": "bilateral"})
-    if isinstance(convention, Multilateral):
-        report = _aggregate(m, sets, dist, tol,
-                            convention=f"multilateral:{convention.cls}",
-                            components_of={"multilateral": "multilateral",
-                                           "bilateral": "bilateral_rest"})
-        report.components.setdefault("multilateral", 0.0)
-        report.components.setdefault("bilateral_rest", 0.0)
-        return report
-    return _aggregate(m, sets, dist, tol, convention="custom",
-                      components_of={})
+    custom = isinstance(convention, Custom)
+    if custom:  # validated sets, with their census, keyed by position
+        groups = {v: {j: [*_signature(s.signs), *s.items]
+                      for j, s in enumerate(sets)}
+                  for v, sets in netting_sets(m, convention).items()}
+    else:
+        groups = _partition(m, convention)
+
+    def kind(key):
+        return "custom" if custom else _kind(key, convention)
+
+    cache: dict = {}  # one market evaluation: one law, one tolerance
+    seen: dict = {}  # signature -> [its first set's SetExposure, set count]
+    firsts = {}  # id of a signature's first group -> that SetExposure
+    values, per_participant, components, pair_view = [], {}, {}, {}
+    multilateral = isinstance(convention, Multilateral)
+    pool_name, rest_name = ("multilateral", "bilateral_rest") \
+        if multilateral else (None, "bilateral")
+    for v in m.participants:
+        subtotal = 0.0
+        for key, group in groups[v].items():
+            if len(group) == 3:
+                continue  # an unused pool
+            if (entry := seen.get(signature := tuple(group[:3]))) is None:
+                s = NettingSet(v, tuple(group[3:]), kind(key))
+                e = firsts[id(group)] = expected_exposure(m, s, dist, tol,
+                                                          cache)
+                entry = seen[signature] = [e, 0]
+            entry[1] += 1
+            value = entry[0].value
+            values.append(value)
+            subtotal += value
+            if key is None:
+                components[pool_name] = components.get(pool_name, 0.0) + value
+            elif not custom:
+                components[rest_name] = components.get(rest_name, 0.0) + value
+                pair = (v, key) if v < key else (key, v)
+                pair_view[pair] = pair_view.get(pair, 0.0) + value
+        per_participant[v] = subtotal
+
+    def rows():  # the census's first sets, and one call for each other set
+        for v in m.participants:
+            for key, group in groups[v].items():
+                if len(group) > 3:
+                    e = firsts.get(id(group))
+                    yield e if e is not None else expected_exposure(
+                        m, NettingSet(v, tuple(group[3:]), kind(key)), dist,
+                        tol, cache)
+
+    exact = None
+    if seen and all(e.exact is not None for e, _ in seen.values()):
+        exact = sum((n * e.exact for e, n in seen.values()), Fraction(0))
+    if multilateral:
+        components.setdefault(pool_name, 0.0)
+        components.setdefault(rest_name, 0.0)
+    name = f"multilateral:{convention.cls}" if multilateral else \
+        "custom" if custom else "bilateral"
+    return ExposureReport(name, rows(), per_participant, _finite(sum(values)),
+                          exact, components, pair_view)

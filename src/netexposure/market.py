@@ -244,27 +244,42 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
 
 # Netting partitions ----------------------------------------------------------
 
-def _partition(m: Market, pool: int | None) -> dict[str, list[NettingSet]]:
-    """Every vertex's netting sets from one pass over the links: its
-    class-``pool`` links form one pooled set, listed first, and its other
-    links one set per counterparty, peers in the order of their first
-    link. Items ascend by link index."""
-    if pool is not None:
-        _require_class(m, pool)
-    # the pool's key None comes first in every vertex's groups
-    groups = {v: defaultdict(list, {None: []}) for v in m.participants}
+def _partition(m: Market, convention: Convention
+               ) -> dict[str, dict[str | None, list]]:
+    """Every vertex's netting groups under a built-in convention, from one
+    pass over the links that takes their signature census as it goes: its
+    pooled-class links form one group under the key None, listed first,
+    and its other links one group per counterparty under the peer's name,
+    peers in the order of their first link. A group is the list [claims,
+    debts, undirected, *items], items ascending by link index; an unused
+    pool stays [0, 0, 0]."""
+    if isinstance(convention, Multilateral):
+        _require_class(m, convention.cls)
+    elif not isinstance(convention, Bilateral):
+        raise TypeError(f"unknown convention: {convention!r}")
+    pool = getattr(convention, "cls", None)
+    groups = {v: defaultdict([0, 0, 0].copy, {None: [0, 0, 0]})
+              for v in m.participants}
     for i, a in enumerate(m.links):
         u, w = a.source, a.target
-        sign = +1 if a.directed else SIGN_SYMMETRIC  # the target's sign
+        # the target's sign, and each end's census slot
+        sign, at_w, at_u = (1, 0, 1) if a.directed else (SIGN_SYMMETRIC, 2, 2)
         in_pool = a.cls == pool
         if (g := groups.get(w)) is not None:
-            g[None if in_pool else u].append((i, sign))
+            group = g[None if in_pool else u]
+            group[at_w] += 1
+            group.append((i, sign))
         if u != w and (g := groups.get(u)) is not None:
-            g[None if in_pool else w].append((i, -sign))
-    return {v: [NettingSet(v, tuple(items), f"bilateral:{peer}"
-                           if peer is not None else f"multilateral:{pool}")
-                for peer, items in g.items() if items]
-            for v, g in groups.items()}
+            group = g[None if in_pool else w]
+            group[at_u] += 1
+            group.append((i, -sign))
+    return groups
+
+
+def _kind(key: str | None, convention: Convention) -> str:
+    """The kind of the netting set of a ``_partition`` group's key."""
+    return f"multilateral:{convention.cls}" if key is None else \
+        f"bilateral:{key}"
 
 
 def netting_sets(m: Market, convention: Convention
@@ -276,15 +291,11 @@ def netting_sets(m: Market, convention: Convention
     must be disjoint, non-empty, incident to their owner, and cover all of
     the owner's links.
     """
-    if isinstance(convention, Bilateral):
-        return _partition(m, None)
-    if isinstance(convention, Multilateral):
-        return _partition(m, convention.cls)
     if isinstance(convention, Custom):
         out = {v: [] for v in m.participants}
         # each owner's incident links and their signs, by link index
-        incident = {v: dict(item for s in sets for item in s.items)
-                    for v, sets in _partition(m, None).items()}
+        incident = {v: dict(item for g in groups.values() for item in g[3:])
+                    for v, groups in _partition(m, Bilateral()).items()}
         for owner, block in convention.sets:
             if owner not in out:
                 raise MarketError(f"unknown participant {owner!r} "
@@ -308,7 +319,9 @@ def netting_sets(m: Market, convention: Convention
                 raise MarketError(f"netting sets of {v!r} do not cover "
                                   f"links {missing}")
         return out
-    raise TypeError(f"unknown convention: {convention!r}")
+    return {v: [NettingSet(v, tuple(group[3:]), _kind(key, convention))
+                for key, group in g.items() if len(group) > 3]
+            for v, g in _partition(m, convention).items()}
 
 
 # Deterministic risk measures -------------------------------------------------

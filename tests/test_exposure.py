@@ -20,6 +20,7 @@ from netexposure import (
     UniformSym,
     Exponential,
     Gamma,
+    ccp_advantage,
     enumerate_orientations,
     eulerian_shortcut,
     exact_exposure,
@@ -43,6 +44,7 @@ from conftest import (
     two_tier,
     two_vertex_market,
 )
+from test_market import random_custom, shaped_markets
 
 
 def expected_exposure_via_cf(f, tol: float = 1e-7) -> float:
@@ -569,6 +571,105 @@ def test_exact_total_equals_one_by_one_sum(convention):
         assert report.market_total_exact == one_by_one
         assert report.market_total == pytest.approx(float(one_by_one),
                                                     rel=1e-12)
+
+
+def set_by_set_report(m, dist, convention):
+    """Every field of a market report, each set valued by its own
+    ``expected_exposure`` call and added set by set in participant order."""
+    rows, per_participant, components, pairs = [], {}, {}, {}
+    rest = "bilateral" if isinstance(convention, Bilateral) else \
+        "bilateral_rest"
+    for v, sets in netting_sets(m, convention).items():
+        per_participant[v] = 0.0
+        for s in sets:
+            e = expected_exposure(m, s, dist)
+            rows.append(e)
+            per_participant[v] += e.value
+            prefix, _, peer = e.kind.partition(":")
+            if prefix == "multilateral":
+                components["multilateral"] = (
+                    components.get("multilateral", 0.0) + e.value)
+            elif prefix == "bilateral":
+                components[rest] = components.get(rest, 0.0) + e.value
+                pair = tuple(sorted((v, peer)))
+                pairs[pair] = pairs.get(pair, 0.0) + e.value
+    if isinstance(convention, Multilateral):
+        components.setdefault("multilateral", 0.0)
+        components.setdefault("bilateral_rest", 0.0)
+    exact = None
+    if rows and all(e.exact is not None for e in rows):
+        exact = sum((e.exact for e in rows), Fraction(0))
+    return (tuple(rows), sum(e.value for e in rows), exact, per_participant,
+            components, pairs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(shaped_markets(), st.sampled_from([LaplaceSym, NormalSym, UniformSym]),
+       st.sampled_from([0.5, 1.0, 2.5]), st.randoms(use_true_random=False))
+def test_census_report_equals_set_by_set_sums(m, law, scale, rng):
+    dist = law(scale)
+    conventions = [Bilateral(), random_custom(m, rng),
+                   *map(Multilateral, range(1, m.n_classes + 1))]
+    for convention in conventions:
+        report = expected_market(m, dist, convention)
+        totals = (report.market_total, report.market_total_exact,
+                  report.per_participant, report.components,
+                  report.pair_view)
+        reference = set_by_set_report(m, dist, convention)
+        # floats compared with ==: the same sums in the same order
+        assert totals == reference[1:]
+        assert list(report.components) == list(reference[4])
+        assert report.per_netting_set == reference[0]
+    for cls in range(1, m.n_classes + 1):
+        got = ccp_advantage(m, dist, cls)
+        _, with_ccp, with_exact, *_ = set_by_set_report(m, dist,
+                                                        Multilateral(cls))
+        _, without, without_exact, *_ = set_by_set_report(m, dist,
+                                                          Bilateral())
+        assert (got.with_ccp, got.without_ccp) == (with_ccp, without)
+        if with_exact is not None:
+            assert (got.tie, got.advantageous) == (
+                with_exact == without_exact, with_exact < without_exact)
+        else:
+            tie = abs(with_ccp - without) <= 1e-11 * max(
+                1.0, abs(with_ccp), abs(without))
+            assert (got.tie, got.advantageous) == (
+                tie, not tie and with_ccp < without)
+
+
+def test_market_evaluations_value_each_signature_once(monkeypatch):
+    # the work shape the benchmark's trace checks: one set evaluation per
+    # distinct signature for the totals, and one per set once rows are read
+    from netexposure import exposure
+
+    calls = []
+    original = exposure.expected_exposure
+
+    def counting(m, s, *args, **kwargs):
+        calls.append(s)
+        return original(m, s, *args, **kwargs)
+
+    def census(m, convention):
+        return {signature(s) for sets in netting_sets(m, convention).values()
+                for s in sets}
+
+    monkeypatch.setattr(exposure, "expected_exposure", counting)
+    m = complete_market(12, 3)
+    ccp_advantage(m, LaplaceSym(1.0), 1)
+    assert sorted(map(signature, calls)) == sorted(
+        [*census(m, Multilateral(1)), *census(m, Bilateral())])
+    m = directed_complete_market(6, 3)
+    for convention in (Multilateral(1), Bilateral()):
+        calls.clear()
+        report = expected_market(m, NormalSym(1.0), convention)
+        assert sorted(map(signature, calls)) == sorted(census(m, convention))
+        rows = report.per_netting_set
+        sets = [s for v in m.participants
+                for s in netting_sets(m, convention)[v]]
+        assert sorted(calls) == sorted(sets)  # each set exactly once
+        assert [e.links for e in rows] == [s.link_indices for s in sets]
+        calls.clear()
+        assert report.per_netting_set is rows and calls == []
 
 
 UNIFORM_EXACT = {(1, 1): Fraction(1, 6), (1, 2): Fraction(1, 24),

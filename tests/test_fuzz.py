@@ -5,11 +5,13 @@ any market file with any argument list ends in exit code 0, 1 or 2 with a
 message, never an uncaught exception.
 """
 
+import cmath
 import contextlib
 import io
 import itertools
 import json
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -233,3 +235,44 @@ def test_hilbert_eval_at_the_float_edges_prints_a_result_or_one_reason(
         lines = (out if code == 0 else err).getvalue().splitlines()
         assert len(lines) == (3 if code == 0 else 1), (argv, lines)
         assert (err if code == 0 else out).getvalue() == "", argv
+
+
+def _finite_result_or_one_reason(argv):
+    """Exit 0 with a finite printed value, or exit 2 with one line; any
+    warning is an error here."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    lines = (out if code == 0 else err).getvalue().splitlines()
+    assert len(lines) == (3 if code == 0 else 1), (argv, lines)
+    assert (err if code == 0 else out).getvalue() == "", argv
+    if code == 0:
+        printed = lines[0].split(" = ")[1]
+        assert cmath.isfinite(complex(printed.replace("i", "j"))), argv
+
+
+@pytest.mark.parametrize("args", [
+    # the rational constant (4i)^512 leaves the float range
+    ["--shape", "512", "--scale", "0.25", "--omega", "0"],
+    # (1 - 65536i)^-64 lies below the float range: 0, not nan
+    ["--shape", "64", "--scale", "256", "--method", "onesided",
+     "--omega", "256"],
+])
+def test_extreme_gamma_laws_print_a_result_or_one_reason(args):
+    _finite_result_or_one_reason(["hilbert-eval", "--dist", "gamma", *args])
+
+
+def test_gamma_shape_scale_edges_print_a_result_or_one_reason():
+    # a non-integer shape, and integer shapes up to a rational constant
+    # b^-shape far outside the float range on either side of unit scale;
+    # at power 2 the product multiplies two such constants
+    for shape, scale, omega, method, power in itertools.product(
+            ("0.5", "3", "64", "512"), ("1e-3", "0.25", "256", "1e3"),
+            ("0", "256"), ("auto", "onesided"), ("1", "2")):
+        _finite_result_or_one_reason([
+            "hilbert-eval", "--dist", "gamma", "--shape", shape,
+            "--scale", scale, f"--omega={omega}", "--method", method,
+            "--power", power])
