@@ -321,8 +321,9 @@ def cf_mean(f: CharFn) -> float:
 # ---------------------------------------------------------------------------
 
 def _laplace_sample(scale: float, rng: np.random.Generator,
-                    sign: int | None, size):
-    """Laplace(scale) draws as an exponential magnitude times a sign.
+                    sign: int | None, out: np.ndarray) -> None:
+    """Laplace(scale) draws into ``out``, as an exponential magnitude
+    times a sign.
 
     |X| of a Laplace(b) variable is Exp(b), so each draw costs one
     ziggurat exponential. Unsigned draws take one fair sign bit each from
@@ -331,20 +332,29 @@ def _laplace_sample(scale: float, rng: np.random.Generator,
     1 - 2 * bit, which flips only the sign. That factor is an int8 array:
     a float64 one would cost as much again as the exponential draw.
     """
-    x = rng.standard_exponential(1 if size is None else size)
-    x *= scale if sign is None else sign * scale
+    rng.standard_exponential(out=out)
+    factor = scale if sign is None else sign * scale
+    if factor != 1.0:
+        out *= factor
     if sign is None:
-        flat = x.reshape(-1)
+        flat = out.reshape(-1)
         words = rng.bit_generator.random_raw((flat.size + 63) // 64)
         bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
                              count=flat.size, bitorder="little")
         flat *= 1 - 2 * bits.view(np.int8)
-    return x[0] if size is None else x
 
 
+# an extreme scale overflows the draws to inf, silently, as in numpy's
+# own samplers
+@np.errstate(over="ignore")
 def sample(spec: Distribution, rng: np.random.Generator,
-           sign: int | None = None, size: int | None = None):
+           sign: int | None = None, size: int | None = None,
+           out: np.ndarray | None = None):
     """Draw from the law, or from sign*|X| when a sign is given.
+
+    Normal, uniform, gamma and exponential draws scale numpy's standard
+    draw in place, bit for bit numpy's ``normal``, ``uniform``, ``gamma``
+    and ``exponential``.
 
     Args:
         spec: catalog law.
@@ -352,24 +362,35 @@ def sample(spec: Distribution, rng: np.random.Generator,
         sign: +1 or -1 to draw the signed absolute value; only legal for
             two-sided laws.
         size: number of draws or an array shape (None for a scalar).
+        out: C-contiguous float64 array to draw into, as in numpy; its
+            shape replaces ``size``, and it is returned.
     """
     if sign is not None and not spec.two_sided:
         raise ValueError("signed absolute values are defined only for "
                          "two-sided (symmetric) distributions")
+    x = np.empty(1 if size is None else size) if out is None else out
     if isinstance(spec, LaplaceSym):
-        return _laplace_sample(spec.scale, rng, sign, size)
-    if isinstance(spec, NormalSym):
-        x = rng.normal(0.0, spec.sigma, size)
+        _laplace_sample(spec.scale, rng, sign, x)
+        sign = None  # drawn with the magnitudes
+    elif isinstance(spec, NormalSym):
+        rng.standard_normal(out=x)
+        x *= spec.sigma
     elif isinstance(spec, UniformSym):
         if not 2.0 * spec.half_width < math.inf:
             raise MomentError(f"the support of {spec!r} overflows a float")
-        x = rng.uniform(-spec.half_width, spec.half_width, size)
+        rng.random(out=x)
+        x *= 2.0 * spec.half_width
+        x -= spec.half_width
     elif isinstance(spec, Gamma):
-        x = rng.gamma(spec.shape, spec.scale, size)
+        rng.standard_gamma(spec.shape, out=x)
+        x *= spec.scale
     elif isinstance(spec, Exponential):
-        x = rng.exponential(spec.scale, size)
+        rng.standard_exponential(out=x)
+        x *= spec.scale
     else:
         raise TypeError(f"unknown distribution spec: {spec!r}")
     if sign is not None:
-        x = sign * np.abs(x)
-    return x
+        np.abs(x, out=x)
+        if sign < 0:
+            np.negative(x, out=x)
+    return x[0] if out is None and size is None else x

@@ -6,7 +6,9 @@ parallel runs, and cheap to regenerate: consumers stream one link vector
 at a time instead of materialising the whole draw matrix. One realisation
 per link per sample feeds both the per-netting-set exposures and the
 market measures; reductions are in-place numpy sums, deterministic for a
-fixed seed.
+fixed seed. Every draw lands in a sample vector that the call allocated
+once (``link_draw``'s ``out``), so a call allocates a fixed handful of
+vectors however many links it draws.
 
 Directed links draw sign=+1 values, so a Laplace link costs one ziggurat
 exponential per sample (|X| of a Laplace(b) variable is Exp(b));
@@ -25,7 +27,6 @@ from .laws import Distribution, MomentError
 from .market import (
     Convention,
     Market,
-    NettingSet,
     SIGN_SYMMETRIC,
     _require_class,
     netting_sets,
@@ -72,18 +73,20 @@ def _link_rng(seed: int, link_index: int) -> Generator:
 
 
 def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
-              seed: int) -> np.ndarray:
+              seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """The realisation vector of one link, regenerable bit-for-bit.
 
     Directed links draw the absolute value (the arrow already carries the
     sign); undirected links draw the signed value, read relative to the
-    link's source.
+    link's source. The draws fill ``out`` (n float64 values) when it is
+    given, with the same bits as a fresh vector.
     """
     if not dist.two_sided:
         raise ValueError("market positions need a two-sided symmetric "
                          f"distribution, got {dist!r}")
     sign = +1 if m.links[link_index].directed else None
-    return sample(dist, _link_rng(seed, link_index), sign=sign, size=n)
+    return sample(dist, _link_rng(seed, link_index), sign=sign, size=n,
+                  out=out)
 
 
 # Draws of an extreme law scale overflow and their sums turn invalid; the
@@ -96,21 +99,30 @@ def _estimate(values: np.ndarray) -> MCEstimate:
     values -= mean
     values *= values
     se = float(np.sqrt(values.sum() / (n - 1)) / np.sqrt(n)) if n > 1 else 0.0
-    return MCEstimate(float(mean), se)
+    # all-zero samples may carry -0.0 (a negated or sign-flipped zero
+    # draw), which numpy's maximum and sum need not turn into +0.0; their
+    # mean is read as the +0.0 of sums started from zeros
+    return MCEstimate(float(mean) + 0.0, se)
 
 
-def _set_samples(m: Market, s: NettingSet, dist: Distribution, n: int,
-                 seed: int) -> np.ndarray:
-    total = np.zeros(n)
-    for i, sign in s.items:
-        draw = link_draw(m, dist, i, n, seed)
-        if sign == SIGN_SYMMETRIC:
-            sign = 1 if s.owner == m.links[i].source else -1
-        if sign > 0:
-            total += draw
+def _signed_sum(m: Market, dist: Distribution, n: int, seed: int,
+                members: list[tuple[int, bool]], acc: np.ndarray,
+                buf: np.ndarray) -> np.ndarray:
+    """Sum into ``acc`` of the draws of ``members``, (link index, negated)
+    pairs, at least one: the first is drawn into ``acc`` itself and each
+    later one into ``buf``. Only the sign of a zero sum can differ from
+    adding the draws to zeros."""
+    (i, negated), *rest = members
+    link_draw(m, dist, i, n, seed, acc)
+    if negated:
+        np.negative(acc, out=acc)
+    for i, negated in rest:
+        link_draw(m, dist, i, n, seed, buf)
+        if negated:
+            acc -= buf  # y - x rounds as y + (-x) does
         else:
-            total -= draw
-    return total
+            acc += buf
+    return acc
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -123,10 +135,14 @@ def mc_expected_exposure(m: Market, convention: Convention,
     standard error is the sample deviation over sqrt(n).
     """
     require_valid(m)
+    acc, buf = np.empty(n), np.empty(n)
     out = {}
     for owner, sets in netting_sets(m, convention).items():
         for s in sets:
-            total = _set_samples(m, s, dist, n, seed)
+            members = [(i, s.owner != m.links[i].source
+                        if sign == SIGN_SYMMETRIC else sign < 0)
+                       for i, sign in s.items]
+            total = _signed_sum(m, dist, n, seed, members, acc, buf)
             np.maximum(total, 0.0, out=total)
             out[(owner, s.link_indices)] = _estimate(total)
     return out
@@ -142,40 +158,37 @@ def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
     the CCP - half the gross twice-counted measure.
 
     The cleared class is drawn first, then each pair's links in link
-    order; a pair's |net| is added to the total and dropped, so memory is
-    the participants' positions and a few sample vectors.
+    order; a pair's |net| is added to the total, so memory is the
+    participants' positions and three sample vectors: the total, one
+    pair's net and one draw.
     """
     require_valid(m)
+    buf = np.empty(n)
     vertex_pos = {}
     if ccp_class is not None:
         _require_class(m, ccp_class)
         vertex_pos = {v: np.zeros(n) for v in m.participants}
-    pair_links: dict[frozenset, list[int]] = {}
+    pairs: dict[frozenset, list[tuple[int, bool]]] = {}
     for i, link in enumerate(m.links):
-        if link.cls != ccp_class:
-            pair_links.setdefault(frozenset((link.source, link.target)),
-                                  []).append(i)
-            continue
-        draw = link_draw(m, dist, i, n, seed)
         credit = link.target if link.directed else link.source
         debit = link.source if link.directed else link.target
-        vertex_pos[credit] += draw
-        vertex_pos[debit] -= draw
+        if link.cls != ccp_class:
+            # a pair's net is read from its smaller participant's side
+            pairs.setdefault(frozenset((credit, debit)), []).append(
+                (i, credit > debit))
+            continue
+        link_draw(m, dist, i, n, seed, buf)
+        vertex_pos[credit] += buf
+        vertex_pos[debit] -= buf
 
     total = np.zeros(n)
     for y in vertex_pos.values():
         total += np.maximum(y, 0.0, out=y)
     vertex_pos.clear()
-    for key, links in pair_links.items():
-        y = None
-        for i in links:
-            draw = link_draw(m, dist, i, n, seed)
-            link = m.links[i]
-            if (link.target if link.directed else link.source) != min(key):
-                np.negative(draw, out=draw)  # y + (-x) rounds as y - x does
-            y = draw if y is None else np.add(y, draw, out=y)
-            del draw  # the next draw must not find this one still held
-        total += np.abs(y, out=y)
+    pair = np.empty(n)
+    for members in pairs.values():
+        total += np.abs(_signed_sum(m, dist, n, seed, members, pair, buf),
+                        out=pair)
     return total
 
 

@@ -418,6 +418,42 @@ def test_laplace_sample_shapes(sign):
         assert np.all(sign * grid >= 0)
 
 
+NUMPY_SAMPLERS = {
+    NormalSym: lambda d, rng, n: rng.normal(0.0, d.sigma, n),
+    UniformSym: lambda d, rng, n: rng.uniform(-d.half_width, d.half_width, n),
+    Gamma: lambda d, rng, n: rng.gamma(d.shape, d.scale, n),
+    Exponential: lambda d, rng, n: rng.exponential(d.scale, n),
+}
+
+
+@pytest.mark.parametrize("spec", CATALOG, ids=str)
+def test_sample_into_out_keeps_the_bits(spec):
+    # a caller-owned buffer gets the bits of a fresh draw, and every law
+    # but Laplace (which draws Exp magnitudes) has numpy's own sampler's
+    n, seed = 4097, 61
+    for sign in (None, +1, -1) if spec.two_sided else (None,):
+        fresh = sample(spec, np.random.default_rng(seed), sign=sign, size=n)
+        buf = np.full(n, np.nan)
+        got = sample(spec, np.random.default_rng(seed), sign=sign, out=buf)
+        assert got is buf
+        assert got.tobytes() == fresh.tobytes()
+        if type(spec) in NUMPY_SAMPLERS:
+            want = NUMPY_SAMPLERS[type(spec)](
+                spec, np.random.default_rng(seed), n)
+            if sign is not None:
+                want = sign * np.abs(want)
+            assert fresh.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec", [LaplaceSym(1e308), NormalSym(1e308),
+                                  Gamma(2.0, 1e308), Exponential(1e308)],
+                         ids=str)
+def test_sample_overflows_to_inf_without_a_warning(spec):
+    # the suite turns every RuntimeWarning into an error
+    x = sample(spec, np.random.default_rng(3), size=1000)
+    assert np.isinf(x).any() and not np.isnan(x).any()
+
+
 @pytest.mark.parametrize("spec", CATALOG, ids=str)
 def test_empirical_cf_matches_evaluator(spec):
     n = 10**5

@@ -106,6 +106,36 @@ def test_dawson_against_scipy():
         assert dawson(float(xs[0])) == pytest.approx(dawsn(xs[0]), abs=1e-13)
 
 
+def dawson_series_loop(xs: np.ndarray) -> np.ndarray:
+    """The power series summed term by term, stopping at the first
+    k > max x^2 with k % 4 == 0 at which every next term is at most eps
+    times its partial sum."""
+    xx = xs * xs
+    term, acc = xs.copy(), np.zeros_like(xs)
+    for k in range(140):
+        acc += term / (2 * k + 1)
+        term *= xx / (k + 1)
+        if (k > xx.max() and k % 4 == 0
+                and np.all(np.abs(term) <= np.finfo(float).eps
+                           * np.abs(acc))):
+            break
+    return np.exp(-xx) * acc
+
+
+def test_dawson_series_has_the_term_by_term_bits():
+    # all terms summed at once, in blocks of 512 points, against the loop
+    # that stops once the terms no longer move the sum
+    rng = np.random.default_rng(5)
+    edges = np.array([0.0, -0.0, 6.5, -6.5, 1e-310, -5e-324, 0.5, 6.0])
+    for trial in range(120):
+        size = int(rng.integers(1, 1300 if trial % 10 == 0 else 65))
+        x = [rng.uniform(-6.5, 6.5, size),
+             rng.uniform(-1, 1, size) * 10.0 ** rng.uniform(-320, 0.8, size),
+             rng.choice(edges, size)][trial % 3]
+        assert dawson(x).tobytes() == dawson_series_loop(x).tobytes()
+        assert dawson(x[0]) == dawson_series_loop(x[:1])[0]
+
+
 def test_dawson_relative_accuracy():
     # the E|Y| series' rounding bound takes Dawson's relative error to be
     # under 12 eps. scipy's dawsn agrees to that from 0.25 up (across the

@@ -23,9 +23,11 @@ from netexposure import (
     mc_market_totals,
 )
 from netexposure.charfn import MomentError, sample
-from netexposure.market import netting_sets
+from netexposure.market import SIGN_SYMMETRIC, netting_sets
 from netexposure.mc import _link_rng, link_draw, market_total_samples
 from conftest import complete_market, path_market, triangle_directed, two_tier
+
+TWO_SIDED = [LaplaceSym(1.5), NormalSym(1.5), UniformSym(2.0)]
 
 
 def test_seed_determinism():
@@ -73,6 +75,17 @@ def test_normal_and_uniform_draws_keep_their_streams(dist):
             x = sample(dist, _link_rng(seed, i), size=n)
             want = np.abs(x) if directed else x
             assert np.array_equal(link_draw(m, dist, i, n, seed), want)
+
+
+@pytest.mark.parametrize("dist", TWO_SIDED, ids=str)
+def test_link_draw_into_out_keeps_the_bits(dist):
+    n, seed = 1000, 19
+    for m in (triangle_directed(), two_tier(False)):
+        for i in range(len(m.links)):
+            buf = np.full(n, np.nan)
+            got = link_draw(m, dist, i, n, seed, buf)
+            assert got is buf
+            assert got.tobytes() == link_draw(m, dist, i, n, seed).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 19, -7, 2**64 + 5, 3 * 2**70 - 1])
@@ -218,6 +231,118 @@ def test_market_total_memory_is_bounded(directed, ccp):
         tracemalloc.stop()
     vectors = 4 if ccp is None else len(m.participants) + 4
     assert peak <= vectors * 8 * n
+
+
+def mixed_market() -> Market:
+    """Complete graph on five participants, two classes, with every
+    other link directed."""
+    m = complete_market(5, 2)
+    return dataclasses.replace(m, links=tuple(
+        dataclasses.replace(a, directed=bool(i % 2))
+        for i, a in enumerate(m.links)))
+
+
+def naive_set_estimates(m: Market, convention, dist, n: int, seed: int):
+    """Per-set estimates from fresh draws added to zeros."""
+    out = {}
+    for owner, sets in netting_sets(m, convention).items():
+        for s in sets:
+            total = np.zeros(n)
+            for i, sign in s.items:
+                if sign == SIGN_SYMMETRIC:  # relative to the owner
+                    sign = 1 if owner == m.links[i].source else -1
+                total = total + sign * link_draw(m, dist, i, n, seed)
+            out[(owner, s.link_indices)] = mc._estimate(
+                np.maximum(total, 0.0))
+    return out
+
+
+def naive_total(m: Market, dist, n: int, seed: int, ccp_class):
+    """Market total from fresh draws: each bilateral pair's |net| from
+    the smaller-named participant's side, plus the clipped cleared-class
+    positions."""
+    y = {v: np.zeros(n) for v in m.participants}
+    pairs = {}
+    for i, a in enumerate(m.links):
+        x = link_draw(m, dist, i, n, seed)
+        credit, debit = ((a.target, a.source) if a.directed
+                         else (a.source, a.target))
+        if a.cls == ccp_class:
+            y[credit] = y[credit] + x
+            y[debit] = y[debit] - x
+            continue
+        key = frozenset((a.source, a.target))
+        signed = x if credit == min(key) else -x
+        pairs[key] = pairs[key] + signed if key in pairs else signed
+    total = np.zeros(n)
+    if ccp_class is not None:
+        for v in m.participants:
+            total = total + np.maximum(y[v], 0.0)
+    for net in pairs.values():
+        total = total + np.abs(net)
+    return mc._estimate(total)
+
+
+def as_bits(estimate: MCEstimate) -> tuple[str, str]:
+    return estimate.estimate.hex(), estimate.stderr.hex()
+
+
+@pytest.mark.parametrize("dist", TWO_SIDED + [LaplaceSym(5e-324)], ids=str)
+@pytest.mark.parametrize("market", ["directed", "undirected", "mixed"])
+def test_oracle_matches_a_naive_reference_bit_for_bit(market, dist):
+    # 20,000 samples make 160 KB vectors, past the C allocator's default
+    # 128 KiB mmap threshold (the goldens' 2,000 stay below it); the
+    # smallest Laplace scale rounds many draws to +0.0 or -0.0
+    m = {"directed": two_tier(True), "undirected": two_tier(False),
+         "mixed": mixed_market()}[market]
+    n, seed = 20_000, 29
+    for convention in (Bilateral(), Multilateral(1)):
+        got = mc_expected_exposure(m, convention, dist, n, seed)
+        want = naive_set_estimates(m, convention, dist, n, seed)
+        assert list(got) == list(want)
+        assert [as_bits(e) for e in got.values()] == [
+            as_bits(e) for e in want.values()]
+    for ccp in (None, 1):
+        assert as_bits(mc_market_totals(m, dist, n, seed, ccp)) == as_bits(
+            naive_total(m, dist, n, seed, ccp))
+
+
+def test_all_zero_sets_read_plus_zero():
+    # at two samples and the smallest Laplace scale, every draw of a set
+    # is often zero, some of them -0.0 (a flipped sign or a debt); the
+    # estimate of such a set is the +0.0 of draws added to zeros
+    dist = LaplaceSym(5e-324)
+    zeros = 0
+    for m in (two_tier(True), two_tier(False), mixed_market()):
+        for seed in range(12):
+            for convention in (Bilateral(), Multilateral(1)):
+                got = mc_expected_exposure(m, convention, dist, 2, seed)
+                want = naive_set_estimates(m, convention, dist, 2, seed)
+                assert [as_bits(e) for e in got.values()] == [
+                    as_bits(e) for e in want.values()]
+                zeros += sum(e.estimate == 0.0 for e in want.values())
+    assert zeros > 0
+
+
+@pytest.mark.parametrize("dist", TWO_SIDED, ids=str)
+@pytest.mark.parametrize("directed", [False, True])
+def test_set_estimates_hold_two_sample_vectors(directed, dist):
+    # every set is summed in one accumulator and one draw buffer. On top
+    # of those, an undirected Laplace draw takes its sign bits (about 3
+    # bytes a sample, and numpy's 64 KiB casting buffer); estimates and
+    # the partition of this small market stay under 16 KiB
+    import tracemalloc
+
+    m = two_tier(directed)
+    n = 20_000
+    tracemalloc.start()
+    try:
+        for convention in (Bilateral(), Multilateral(1)):
+            mc_expected_exposure(m, convention, dist, n, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n + 4 * n + 2**16 + 2**14
 
 
 def test_market_totals_against_analytic_triangle():
