@@ -83,6 +83,14 @@ def _cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _analyze_args(p):
+    p.add_argument("--market", required=True)
+    p.add_argument("--convention", default=None,
+                   help="bilateral or multilateral:<class> "
+                        "(default: from the file)")
+    p.add_argument("--format", choices=["json", "table"], default="table")
+
+
 def _cmd_compare(args) -> int:
     market, _, dist = _load(args)
     result = ccp_advantage(market, dist, args.cls, tol=args.tol)
@@ -94,6 +102,11 @@ def _cmd_compare(args) -> int:
     return EXIT_OK
 
 
+def _compare_args(p):
+    p.add_argument("--market", required=True)
+    p.add_argument("--class", dest="cls", type=int, required=True)
+
+
 def _cmd_advantage_table(args) -> int:
     dist = _dist_from_args(args)
     table = min_participants_table(dist, args.kmax)
@@ -103,7 +116,15 @@ def _cmd_advantage_table(args) -> int:
     return EXIT_OK
 
 
+def _advantage_table_args(p):
+    _add_dist_args(p)
+    p.add_argument("--kmax", type=int, default=10)
+
+
 def _cmd_mc_check(args) -> int:
+    if args.samples < 2:
+        raise ParseError("--samples must be at least 2 (the standard "
+                         f"error needs two draws), got {args.samples}")
     market, convention, dist = _load(args)
     cli = sys.modules[__name__]
     report = expected_market(market, dist, convention, tol=args.tol)
@@ -139,7 +160,19 @@ def _cmd_mc_check(args) -> int:
     return EXIT_OK
 
 
+def _mc_check_args(p):
+    p.add_argument("--market", required=True)
+    p.add_argument("--convention", default=None)
+    p.add_argument("--samples", type=int, default=1_000_000)
+    p.add_argument("--seed", type=int, default=42)
+
+
 def _cmd_hilbert_eval(args) -> int:
+    if not 1 <= args.power <= _MAX_POWER:
+        bound = "at least 1" if args.power < 1 else f"at most {_MAX_POWER}"
+        raise ParseError(f"--power must be {bound}, got {args.power}")
+    if not math.isfinite(args.omega):
+        raise ParseError(f"--omega must be finite, got {args.omega:g}")
     from .charfn import cf_product, charfn_of
     from .transforms import hilbert_eval, neg_abs_cf, pos_abs_cf
     base = charfn_of(_dist_from_args(args))
@@ -157,7 +190,34 @@ def _cmd_hilbert_eval(args) -> int:
     return EXIT_OK
 
 
+def _hilbert_eval_args(p):
+    _add_dist_args(p)
+    p.add_argument("--power", type=int, default=1)
+    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--side", choices=["pos", "neg"], default=None,
+                   help="use the signed absolute value of the law")
+    p.add_argument("--method", choices=["auto", *ROUTES], default="auto")
+
+
+# name: (help, function that adds the command's arguments, handler)
+_COMMANDS = {
+    "analyze": ("expected exposure report", _analyze_args, _cmd_analyze),
+    "compare-netting": ("bilateral vs CCP comparison", _compare_args,
+                        _cmd_compare),
+    "advantage": ("bilateral vs CCP comparison", _compare_args,
+                  _cmd_compare),
+    "advantage-table": ("minimal market size for a CCP to help, per class "
+                        "count (complete graph)", _advantage_table_args,
+                        _cmd_advantage_table),
+    "mc-check": ("analytic values against Monte Carlo", _mc_check_args,
+                 _cmd_mc_check),
+    "hilbert-eval": ("transform of a catalog c.f. power",
+                     _hilbert_eval_args, _cmd_hilbert_eval),
+}
+
+
 def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = argparse.ArgumentParser(
         prog="netexposure",
         description="Expected counterparty exposure of financial networks "
@@ -167,45 +227,16 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="absolute tolerance for numeric paths")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="expected exposure report")
-    p.add_argument("--market", required=True)
-    p.add_argument("--convention", default=None,
-                   help="bilateral or multilateral:<class> "
-                        "(default: from the file)")
-    p.add_argument("--format", choices=["json", "table"], default="table")
-    p.set_defaults(func=_cmd_analyze)
-
-    for name in ("compare-netting", "advantage"):
-        p = sub.add_parser(name, help="bilateral vs CCP comparison")
-        p.add_argument("--market", required=True)
-        p.add_argument("--class", dest="cls", type=int, required=True)
-        p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("advantage-table",
-                       help="minimal market size for a CCP to help, per "
-                            "class count (complete graph)")
-    _add_dist_args(p)
-    p.add_argument("--kmax", type=int, default=10)
-    p.set_defaults(func=_cmd_advantage_table)
-
-    p = sub.add_parser("mc-check",
-                       help="analytic values against Monte Carlo")
-    p.add_argument("--market", required=True)
-    p.add_argument("--convention", default=None)
-    p.add_argument("--samples", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_mc_check)
-
-    p = sub.add_parser("hilbert-eval",
-                       help="transform of a catalog c.f. power")
-    _add_dist_args(p)
-    p.add_argument("--power", type=int, default=1)
-    p.add_argument("--omega", type=float, required=True)
-    p.add_argument("--side", choices=["pos", "neg"], default=None,
-                   help="use the signed absolute value of the law")
-    p.add_argument("--method", choices=["auto", *ROUTES], default="auto")
-    p.set_defaults(func=_cmd_hilbert_eval)
+    # Only the command that argv names gets its arguments; the others are
+    # names and help lines, enough for the top-level help and its errors.
+    # That command is the first token that names one: the one option
+    # before it, --tol, takes a float, never a command name.
+    named = next((token for token in argv if token in _COMMANDS), None)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        if name == named:
+            add_arguments(sub.add_parser(name, help=help_text))
+        else:
+            sub.add_parser(name, help=help_text, add_help=False)
 
     try:
         args = parser.parse_args(argv)
@@ -217,15 +248,7 @@ def main(argv=None) -> int:
         if not 0 < args.tol < math.inf:
             raise ParseError("--tol must be positive and finite, "
                              f"got {args.tol:g}")
-        if getattr(args, "samples", 2) < 2:
-            raise ParseError("--samples must be at least 2 (the standard "
-                             f"error needs two draws), got {args.samples}")
-        if not 1 <= getattr(args, "power", 1) <= _MAX_POWER:
-            bound = "at least 1" if args.power < 1 else f"at most {_MAX_POWER}"
-            raise ParseError(f"--power must be {bound}, got {args.power}")
-        if not math.isfinite(getattr(args, "omega", 0.0)):
-            raise ParseError(f"--omega must be finite, got {args.omega:g}")
-        code = args.func(args)
+        code = _COMMANDS[args.command][2](args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code
     except BrokenPipeError:  # e.g. `| head -1`; exit's own flush must pass

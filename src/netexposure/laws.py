@@ -15,7 +15,7 @@ __all__ = ["Distribution", "LaplaceSym", "NormalSym", "UniformSym", "Gamma",
 DEFAULT_TOL = 1e-7  # for calls that name no tol; also the CLI's --tol default
 
 # the Hilbert transform routes, in the order ``transforms._route`` tries them
-ROUTES = ("residue", "dawson", "onesided", "closed-form", "pv")
+ROUTES = ("onesided", "residue", "dawson", "closed-form", "pv")
 
 
 class TruncationError(ValueError):

@@ -2,13 +2,13 @@
 
 Five routes for the transform, in the order ``_route`` tries them:
 
+* the analytic-signal rule for one-sided functions: -i*f (positive side),
+  +i*f (negative side), exact wherever it applies;
 * residue calculus for the factored rational functions c / prod_j
   (t - p_j)^(m_j) (at least one pole, none on the real axis): H{f}(w) =
   2i * sum of residues of f(z)/(w-z) over upper-half-plane poles, minus
   i*f(w) for the simple real pole at w;
 * the Dawson-function form for Gaussian shapes;
-* the analytic-signal rule for one-sided functions: -i*f (positive side),
-  +i*f (negative side);
 * the closed form a catalog c.f. carries (uniform: (1 - cos cw)/(cw));
 * adaptive principal-value quadrature of the folded integrand
   [f(w-u) - f(w+u)] / u on [0, T], the universal fallback and the
@@ -28,7 +28,7 @@ DEFAULT_TOL, which is also the CLI's --tol default.
 import math
 import sys
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -81,10 +81,11 @@ class HilbertResult:
 # positive terms, so there is no cancellation; it stays at machine accuracy
 # well past the switchover. Its terms shrink once k exceeds x^2, and by
 # k = 140 they are far below machine epsilon of the sum for |x| <= 6.5.
-# All 140 terms are built and summed at once, as a (terms x points)
-# matrix over blocks of at most 512 points (about 0.6 MB): a market's
-# normal grid has about 20 series points, for which a term-by-term loop
-# would pay up to 100 rounds of numpy calls. The backward-evaluated
+# The terms a block of at most 512 points needs (113 at |x| = 6.5, 13 at
+# 0.5) are built and summed at once, as a (terms x points) matrix (about
+# 0.5 MB): a market's normal grid has about 20 series points, for which a
+# term-by-term loop would pay up to 100 rounds of numpy calls; a block of
+# small points skips the subnormal tail terms. The backward-evaluated
 # continued fraction
 # 0.5/(x - (1/2)/(x - 1/(x - (3/2)/(x - ...)))) converges to full precision
 # only for |x| >= ~6.5 (at 6.09 it is 4e-13 off), so the handover sits
@@ -96,9 +97,27 @@ _DAWSON_CF_DEPTH = 48
 _EPS = np.finfo(float).eps
 
 
+@cache
+def _dawson_rows(x: float) -> int:
+    """How many series terms points up to |x| need: a term-by-term loop on
+    x alone, stopping at the first k > x^2 with k % 4 == 0 at which the
+    next term is at most eps times the partial sum. That ratio,
+    x^(2k+3)/(k+1)! over sum_{j<=k} x^(2j+1)/(j!(2j+1)), grows with |x|,
+    so every smaller point has met the rule by then too. Callers pass x
+    rounded up to a quarter, so at most 27 counts are ever computed."""
+    xx = x * x
+    term, acc = x, 0.0
+    for k in range(_DAWSON_SERIES_TERMS):
+        acc += term / (2 * k + 1)
+        term *= xx / (k + 1)
+        if k > xx and k % 4 == 0 and term <= _EPS * acc:
+            return k + 1
+    return _DAWSON_SERIES_TERMS
+
+
 def _dawson_series(xs: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """sum x^(2k+1)/(k!(2k+1)) over k < 140 at the points ``xs``, whose
-    squares are ``xx``.
+    """sum x^(2k+1)/(k!(2k+1)) at the points ``xs``, whose squares are
+    ``xx``, over the k < _dawson_rows(max |x| rounded up to a quarter).
 
     A loop that adds term by term and stops at the first k > max x^2 with
     k % 4 == 0 at which every next term is at most eps times its partial
@@ -107,7 +126,8 @@ def _dawson_series(xs: np.ndarray, xx: np.ndarray) -> np.ndarray:
     2k + 3 >= 11, and the terms shrink past k = x^2), less than half an
     ulp.
     """
-    k = np.arange(_DAWSON_SERIES_TERMS)[:, None]
+    top = math.ceil(4.0 * float(np.max(np.abs(xs)))) / 4.0
+    k = np.arange(_dawson_rows(top))[:, None]
     terms = np.empty((k.size, xs.size))  # term_k = term_(k-1) x^2/k
     terms[0] = xs
     np.divide(xx, k[1:], out=terms[1:])

@@ -4,6 +4,17 @@ import pytest
 
 from netexposure import Link, Market
 
+# argv that argparse refuses: main returns 1 with a usage message
+USAGE_ERRORS = (
+    ["analyze"],
+    ["analyze", "--market", "m.json", "--format", "yaml"],
+    ["hilbert-eval", "--dist", "bogus", "--omega", "1"],
+    ["mc-check", "--market", "m.json", "--samples", "abc"],
+    ["--tol", "x", "analyze", "--market", "m.json"],
+    ["frobnicate"],
+    [],
+)
+
 
 def illustrative_market() -> Market:
     """Four participants, two classes (solid/dashed), seven links."""

@@ -1,5 +1,6 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
+import argparse
 import json
 import os
 import re
@@ -33,6 +34,7 @@ from netexposure.transforms import ToleranceError
 from netexposure.cli import main
 from netexposure.io import MarketFile, ParseError, write_market
 from conftest import (
+    USAGE_ERRORS,
     complete_market,
     illustrative_market,
     path_market,
@@ -660,6 +662,36 @@ def test_pv_beyond_the_truncation_limit_names_omega(capsys, dist):
         "_PV_TMAX = 1e+13"]
 
 
+def test_auto_takes_the_one_sided_route_for_an_integer_shape_gamma(capsys):
+    # the residue tier also fits, but its constant (1/b)^512 leaves the
+    # float range; the one-sided rule is exact and needs no constant
+    assert main(["hilbert-eval", "--dist", "gamma", "--shape", "512",
+                 "--scale", "0.25", "--omega", "0"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "H{phi^1}(0) = +0-1i", "method: onesided", "error estimate: 0.00e+00"]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("command", [["compare-netting", "--class", "1"],
+                                     ["analyze"]], ids=["compare", "analyze"])
+def test_a_command_builds_only_its_own_arguments(tmp_path, monkeypatch,
+                                                 capsys, command):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(self, *args, **kwargs):
+        added.extend(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    path = market_file(tmp_path, triangle_directed(), dist=LaplaceSym(1.0))
+    name, *options = command
+    assert main([name, "--market", str(path), *options]) == 0
+    assert "--market" in added
+    assert not {"--omega", "--kmax", "--samples", "--scale"} & set(added)
+
+
 def test_closed_stdout_exits_one_without_a_traceback():
     # as `analyze ... | head -1` does, but the reader is gone before the
     # command writes
@@ -837,15 +869,7 @@ def test_mc_check_under_a_custom_convention_checks_the_sets_only(
                          "(seed 1)")
 
 
-@pytest.mark.parametrize("argv", [
-    ["analyze"],
-    ["analyze", "--market", "m.json", "--format", "yaml"],
-    ["hilbert-eval", "--dist", "bogus", "--omega", "1"],
-    ["mc-check", "--market", "m.json", "--samples", "abc"],
-    ["--tol", "x", "analyze", "--market", "m.json"],
-    ["frobnicate"],
-    [],
-])
+@pytest.mark.parametrize("argv", USAGE_ERRORS)
 def test_usage_errors_exit_one(capsys, argv):
     assert main(argv) == 1
     captured = capsys.readouterr()

@@ -2,8 +2,10 @@
 
 The market files and the expected outputs live in ``tests/data/golden``.
 They guard changes that must not move any printed number (performance
-work, refactors). When an output is meant to change, regenerate the files
-from the repository root and review the diff:
+work, refactors). ``usage.json`` holds the help and usage-error corpus:
+stdout, stderr and exit code of each argv at an 80-column terminal. When
+an output is meant to change, regenerate the files from the repository
+root and review the diff:
 
     PYTHONPATH=src:tests python -c "import test_golden as g; g.regenerate()"
 """
@@ -11,13 +13,15 @@ from the repository root and review the diff:
 import contextlib
 import io
 import json
+import os
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from netexposure.cli import main
-from conftest import triangle_directed
+from conftest import USAGE_ERRORS, triangle_directed
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden"
 
@@ -58,6 +62,21 @@ HILBERT_EVAL = {
     "uniform-power2": ("--dist", "uniform", "--power", "2", "--omega", "1"),
     "uniform-closed-form": ("--dist", "uniform", "--omega", "0.35"),
     "laplace-pv": ("--dist", "laplace", "--method", "pv", "--omega", "0.35"),
+}
+
+SUBCOMMANDS = ("analyze", "compare-netting", "advantage", "advantage-table",
+               "mc-check", "hilbert-eval")
+# help, usage errors and abbreviated options; written to usage.json
+USAGE = {
+    "help": ["--help"],
+    "h": ["-h"],
+    **{f"{command}-help": [command, "--help"] for command in SUBCOMMANDS},
+    **{f"usage-error-{i}": argv for i, argv in enumerate(USAGE_ERRORS)},
+    "help-before-command": ["--help", "analyze"],
+    "tol-without-command": ["--tol", "1e-9"],
+    "unknown-option": ["analyze", "--bogus"],
+    "abbreviated-help": ["--he"],
+    "abbreviated-tol": ["--to", "1e-3", "analyze"],
 }
 
 
@@ -149,6 +168,20 @@ def render_hilbert(name: str) -> str:
     return _stdout(["hilbert-eval", *HILBERT_EVAL[name]])
 
 
+def render_usage(argv: list[str]) -> dict:
+    """Exit code, stdout and stderr of one CLI call at 80 columns; help
+    exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "code": code, "stdout": out.getvalue(),
+            "stderr": err.getvalue()}
+
+
 def regenerate() -> None:
     """Rewrite the golden market files and outputs from the current code."""
     GOLDEN.mkdir(parents=True, exist_ok=True)
@@ -161,6 +194,9 @@ def regenerate() -> None:
     for name in HILBERT_EVAL:
         (GOLDEN / f"hilbert-eval.{name}.out").write_text(render_hilbert(name),
                                                          encoding="utf-8")
+    usage = {name: render_usage(argv) for name, argv in USAGE.items()}
+    (GOLDEN / "usage.json").write_text(json.dumps(usage, indent=1) + "\n",
+                                       encoding="utf-8")
 
 
 @pytest.mark.parametrize("market,name", CASES)
@@ -174,3 +210,10 @@ def test_hilbert_eval_matches_golden(name):
     expected = (GOLDEN / f"hilbert-eval.{name}.out").read_text(
         encoding="utf-8")
     assert render_hilbert(name) == expected
+
+
+@pytest.mark.parametrize("name", USAGE)
+def test_help_and_usage_match_golden(name):
+    expected = json.loads((GOLDEN / "usage.json").read_text(
+        encoding="utf-8"))[name]
+    assert render_usage(USAGE[name]) == expected
