@@ -42,6 +42,7 @@ from .market import (
     SIGN_SYMMETRIC,
     _kind,
     _partition,
+    _side,
     netting_sets,
     require_valid,
 )
@@ -300,7 +301,7 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
 
     cache: dict = {}  # one market evaluation: one law, one tolerance
     seen: dict = {}  # signature -> [its first set's SetExposure, set count]
-    firsts = {}  # id of a signature's first group -> that SetExposure
+    firsts = {}  # (owner, key) of a signature's first set -> its SetExposure
     values, per_participant, components, pair_view = [], {}, {}, {}
     multilateral = isinstance(convention, Multilateral)
     pool_name, rest_name = ("multilateral", "bilateral_rest") \
@@ -310,10 +311,11 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
         for key, group in groups[v].items():
             if len(group) == 3:
                 continue  # an unused pool
-            if (entry := seen.get(signature := tuple(group[:3]))) is None:
+            group = _side(v, key, group)
+            signature = group[0], group[1], group[2]
+            if (entry := seen.get(signature)) is None:
                 s = NettingSet(v, tuple(group[3:]), kind(key))
-                e = firsts[id(group)] = expected_exposure(m, s, dist, tol,
-                                                          cache)
+                e = firsts[v, key] = expected_exposure(m, s, dist, tol, cache)
                 entry = seen[signature] = [e, 0]
             entry[1] += 1
             value = entry[0].value
@@ -331,10 +333,9 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
         for v in m.participants:
             for key, group in groups[v].items():
                 if len(group) > 3:
-                    e = firsts.get(id(group))
-                    yield e if e is not None else expected_exposure(
-                        m, NettingSet(v, tuple(group[3:]), kind(key)), dist,
-                        tol, cache)
+                    yield firsts.get((v, key)) or expected_exposure(
+                        m, NettingSet(v, tuple(_side(v, key, group)[3:]),
+                                      kind(key)), dist, tol, cache)
 
     exact = None
     if seen and all(e.exact is not None for e, _ in seen.values()):

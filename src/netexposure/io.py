@@ -67,7 +67,10 @@ def _need(obj: dict, key: str, kind, where: str, default=MISSING):
     if key not in obj:
         raise ParseError(f"{where}.{key}: missing")
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParseError(f"{where}.{key}: integer outside the float range")
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         raise ParseError(f"{where}.{key}: expected {kind.__name__}, "
                          f"got {type(value).__name__}")
@@ -137,7 +140,14 @@ def _convention_to_json(conv: Convention) -> dict:
 
 
 def _parse_link(obj, i: int) -> Link:
-    where = f"$.links[{i}]"
+    if type(obj) is dict:
+        u, w, c = obj.get("from"), obj.get("to"), obj.get("class")
+        d, x = obj.get("directed", False), obj.get("weight")
+        if (type(u) is type(w) is str and type(c) is int and type(d) is bool
+                and (x is None or type(x) is float)  # and no unknown key:
+                and len(obj) == 3 + ("directed" in obj) + ("weight" in obj)):
+            return Link(u, w, c, d, x)
+    where = f"$.links[{i}]"  # faults, int weights and nulls take _need
     _object(obj, where, _LINK_KEYS)
     return Link(_need(obj, "from", str, where), _need(obj, "to", str, where),
                 _need(obj, "class", int, where),

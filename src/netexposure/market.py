@@ -247,33 +247,42 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
 def _partition(m: Market, convention: Convention
                ) -> dict[str, dict[str | None, list]]:
     """Every vertex's netting groups under a built-in convention, from one
-    pass over the links that takes their signature census as it goes: its
-    pooled-class links form one group under the key None, listed first,
-    and its other links one group per counterparty under the peer's name,
-    peers in the order of their first link. A group is the list [claims,
-    debts, undirected, *items], items ascending by link index; an unused
-    pool stays [0, 0, 0]."""
+    pass over the links that takes their signature census as it goes. A
+    group is [claims, debts, undirected, *items], items ascending by link
+    index: the vertex's pooled-class links, first under the key None (an
+    unused pool stays [0, 0, 0]), then per peer, in first-link order, a
+    pair record that both share, written from the smaller name's side."""
     if isinstance(convention, Multilateral):
         _require_class(m, convention.cls)
     elif not isinstance(convention, Bilateral):
         raise TypeError(f"unknown convention: {convention!r}")
     pool = getattr(convention, "cls", None)
-    groups = {v: defaultdict([0, 0, 0].copy, {None: [0, 0, 0]})
-              for v in m.participants}
+    groups = defaultdict(lambda: {None: [0, 0, 0]})  # unknown ends dropped
     for i, a in enumerate(m.links):
         u, w = a.source, a.target
-        # the target's sign, and each end's census slot
-        sign, at_w, at_u = (1, 0, 1) if a.directed else (SIGN_SYMMETRIC, 2, 2)
-        in_pool = a.cls == pool
-        if (g := groups.get(w)) is not None:
-            group = g[None if in_pool else u]
-            group[at_w] += 1
-            group.append((i, sign))
-        if u != w and (g := groups.get(u)) is not None:
-            group = g[None if in_pool else w]
-            group[at_u] += 1
-            group.append((i, -sign))
-    return groups
+        # the target's census slot and sign; the source's are at + sign, -sign
+        at, sign = (0, 1) if a.directed else (2, SIGN_SYMMETRIC)
+        if a.cls == pool:
+            if u != w:
+                group = groups[u][None]
+                group[at + sign] += 1
+                group.append((i, -sign))
+            group = groups[w][None]
+        elif (group := groups[w].get(u)) is None:
+            group = groups[w][u] = groups[u][w] = [0, 0, 0]
+        if u < w and a.cls != pool:  # signed from the smaller name's side
+            at, sign = at + sign, -sign
+        group[at] += 1
+        group.append((i, sign))
+    return {v: groups[v] for v in m.participants}
+
+
+def _side(owner: str, key, group: list) -> list:
+    """``owner``'s group under ``key`` as it sees it: read from the larger
+    name, a pair record swaps claims and debts and negates signs."""
+    if type(key) is not str or owner <= key or not (group[0] or group[1]):
+        return group
+    return [group[1], group[0], group[2], *[(i, -s) for i, s in group[3:]]]
 
 
 def _kind(key: str | None, convention: Convention) -> str:
@@ -294,8 +303,8 @@ def netting_sets(m: Market, convention: Convention
     if isinstance(convention, Custom):
         out = {v: [] for v in m.participants}
         # each owner's incident links and their signs, by link index
-        incident = {v: dict(item for g in groups.values() for item in g[3:])
-                    for v, groups in _partition(m, Bilateral()).items()}
+        incident = {v: dict(item for s in sets for item in s.items)
+                    for v, sets in netting_sets(m, Bilateral()).items()}
         for owner, block in convention.sets:
             if owner not in out:
                 raise MarketError(f"unknown participant {owner!r} "
@@ -319,9 +328,9 @@ def netting_sets(m: Market, convention: Convention
                 raise MarketError(f"netting sets of {v!r} do not cover "
                                   f"links {missing}")
         return out
-    return {v: [NettingSet(v, tuple(group[3:]), _kind(key, convention))
-                for key, group in g.items() if len(group) > 3]
-            for v, g in _partition(m, convention).items()}
+    return {v: [NettingSet(v, tuple(_side(v, k, g)[3:]), _kind(k, convention))
+                for k, g in groups.items() if len(g) > 3]
+            for v, groups in _partition(m, convention).items()}
 
 
 # Deterministic risk measures -------------------------------------------------

@@ -551,6 +551,32 @@ def test_unknown_dist_parameter_is_rejected(tmp_path, capsys, dist, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+HUGE = 10 ** 400  # a JSON integer that no float can hold
+
+
+@pytest.mark.parametrize("link, dist, message", [
+    ({"weight": HUGE}, {"type": "laplace"},
+     "$.links[0].weight: integer outside the float range"),
+    ({}, {"type": "laplace", "scale": HUGE},
+     "$.dist.scale: integer outside the float range"),
+    ({"weight": -HUGE}, {"type": "laplace"},
+     "$.links[0].weight: integer outside the float range"),
+], ids=["weight", "scale", "negative-weight"])
+def test_integer_beyond_the_float_range_is_a_parse_error(
+        tmp_path, capsys, link, dist, message):
+    from netexposure.io import parse_market_data
+
+    data = {"participants": ["a", "b"], "classes": 1,
+            "links": [{"from": "a", "to": "b", "class": 1, **link}],
+            "dist": dist}
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_market_data(data)
+    path = tmp_path / "market.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", "--market", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_null_dist_parameter_takes_the_default():
     from netexposure.io import parse_market_data
 

@@ -12,17 +12,17 @@ import itertools
 import json
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netexposure.laws import LAWS
 from netexposure.cli import main
-from netexposure.io import ParseError, parse_market_data
-from netexposure.market import MarketError
+from netexposure.io import ParseError, _parse_link, parse_market_data
+from netexposure.market import Link, MarketError
 from netexposure.transforms import ROUTES
 
 json_values = st.recursive(
@@ -114,6 +114,99 @@ def test_parse_market_data_raises_only_input_errors(data):
         parse_market_data(data)
     except (ParseError, MarketError):
         pass
+
+
+LINK_FIELDS = {"from": str, "to": str, "class": int, "directed": bool,
+               "weight": float}
+LINK_DEFAULTS = {"directed": False, "weight": None}
+
+
+def reference_link(obj, i: int) -> Link:
+    """A link object read field by field from the table above: an absent
+    or null field takes its default, a bool is no number, and an int
+    weight becomes a float."""
+    where = f"$.links[{i}]"
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: expected an object, "
+                         f"got {type(obj).__name__}")
+    for key in obj:
+        if key not in LINK_FIELDS:
+            raise ParseError(f"{where}.{key}: unknown key (allowed: "
+                             f"class, directed, from, to, weight)")
+    values = []
+    for key, kind in LINK_FIELDS.items():
+        value = obj.get(key)
+        if value is None and key in LINK_DEFAULTS:
+            value = LINK_DEFAULTS[key]
+        elif key not in obj:
+            raise ParseError(f"{where}.{key}: missing")
+        elif kind is float and type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                raise ParseError(f"{where}.{key}: integer outside the "
+                                 f"float range") from None
+        elif type(value) is not kind:
+            raise ParseError(f"{where}.{key}: expected {kind.__name__}, "
+                             f"got {type(value).__name__}")
+        values.append(value)
+    return Link(*values)
+
+
+# one value of each JSON type, and ints as wide as JSON allows
+field_values = (None, True, 2, 10 ** 400, -10 ** 400, 0.5, float("nan"),
+                "a", [], {})
+# a key dropped (MISSING) or given one of those values, unknown keys included
+edits = st.sampled_from([(key, value)
+                         for key in (*LINK_FIELDS, "Weight")
+                         for value in (MISSING, *field_values)])
+
+
+@st.composite
+def link_objects(draw):
+    """A well-formed link object with up to two edits, or any JSON
+    value."""
+    if not draw(st.integers(0, 7)):
+        return draw(json_values)
+    obj = {"from": draw(names), "to": draw(names),
+           "class": draw(st.integers(0, 3))}
+    if draw(st.booleans()):
+        obj["directed"] = draw(st.booleans())
+    if draw(st.booleans()):
+        obj["weight"] = draw(st.floats() | st.integers(-3, 3))
+    for key, value in draw(st.lists(edits, max_size=2)):
+        if value is MISSING:
+            obj.pop(key, None)
+        else:
+            obj[key] = value
+    return obj
+
+
+LINK = {"from": "a", "to": "b", "class": 1}
+
+
+@settings(max_examples=500, deadline=None)
+@given(obj=link_objects(), i=st.integers(0, 12))
+@example(obj={**LINK, "class": True}, i=0)
+@example(obj={**LINK, "directed": None, "weight": None}, i=0)
+@example(obj={**LINK, "directed": 1}, i=0)
+@example(obj={**LINK, "weight": False}, i=0)
+@example(obj={**LINK, "weight": 2}, i=0)
+@example(obj={**LINK, "weight": 10 ** 400}, i=0)
+@example(obj={"from": "a", "class": 1}, i=3)
+@example(obj={**LINK, "to": None}, i=0)
+@example(obj={**LINK, "weight": 1.5, "sign": 1}, i=0)
+@example(obj=["a", "b", 1], i=0)
+def test_link_parser_follows_the_field_table(obj, i):
+    try:
+        expected = reference_link(obj, i)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            _parse_link(obj, i)
+        assert str(got.value) == str(exc)
+    else:
+        # repr tells 1 from 1.0 and True, -0.0 from 0.0, and shows nan
+        assert repr(_parse_link(obj, i)) == repr(expected)
 
 
 def _opt(flag, values):

@@ -26,7 +26,7 @@ from netexposure import (
     netting_sets,
     validate_market,
 )
-from netexposure.market import require_valid
+from netexposure.market import _partition, _side, require_valid
 from conftest import (
     illustrative_market,
     path_market,
@@ -428,6 +428,57 @@ def test_partitions_match_their_definitions(m):
     assert netting_sets(m, Bilateral()) == definition_partition(m)
     for c in range(1, m.n_classes + 1):
         assert netting_sets(m, Multilateral(c)) == definition_partition(m, c)
+
+
+def test_partition_of_invalid_markets_and_mirrored_sides():
+    # netting_sets still takes markets that validate_market rejects: a
+    # self-link is listed once, on its target's side, and a link to an
+    # unknown participant only on its known end
+    m = Market(("v", "w"), 2, (Link("v", "w", 1, True),
+                               Link("w", "w", 1, True),
+                               Link("v", "x", 1, True),
+                               Link("y", "w", 2, False),
+                               Link("w", "v", 2, False)))
+    assert validate_market(m) != []
+    assert netting_sets(m, Bilateral()) == {
+        "v": [NettingSet("v", ((0, -1), (4, 0)), "bilateral:w"),
+              NettingSet("v", ((2, -1),), "bilateral:x")],
+        "w": [NettingSet("w", ((0, 1), (4, 0)), "bilateral:v"),
+              NettingSet("w", ((1, 1),), "bilateral:w"),
+              NettingSet("w", ((3, 0),), "bilateral:y")]}
+    assert netting_sets(m, Multilateral(1)) == {
+        "v": [NettingSet("v", ((0, -1), (2, -1)), "multilateral:1"),
+              NettingSet("v", ((4, 0),), "bilateral:w")],
+        "w": [NettingSet("w", ((0, 1), (1, 1)), "multilateral:1"),
+              NettingSet("w", ((3, 0),), "bilateral:y"),
+              NettingSet("w", ((4, 0),), "bilateral:v")]}
+    # the two owners of a pair see one set from both sides: claims and
+    # debts swap, directed signs flip and undirected items are equal, on
+    # directed, undirected and mixed pairs with either name the smaller
+    mixed = Market(("b", "a", "c"), 3, (
+        Link("a", "b", 1, True), Link("b", "a", 2, True),
+        Link("a", "b", 3, False), Link("c", "b", 1, True),
+        Link("b", "c", 2, False), Link("c", "a", 1, False),
+        Link("c", "a", 3, True)))
+    assert validate_market(mixed) == []
+    for convention in (Bilateral(), Multilateral(1), Multilateral(2)):
+        groups = _partition(mixed, convention)
+        sets = netting_sets(mixed, convention)
+        by_kind = {(v, s.kind): s for v in sets for s in sets[v]}
+        for v in mixed.participants:
+            for key, group in groups[v].items():
+                if key is None:
+                    continue
+                claims, debts, undirected, *items = _side(v, key, group)
+                mine = by_kind[v, f"bilateral:{key}"]
+                theirs = by_kind[key, f"bilateral:{v}"]
+                assert (claims, debts, undirected) == (
+                    mine.signs.count(1), mine.signs.count(-1),
+                    mine.signs.count(0))
+                assert (debts, claims) == (theirs.signs.count(1),
+                                           theirs.signs.count(-1))
+                assert mine.items == tuple(items) == tuple(
+                    (i, -s) for i, s in theirs.items)
 
 
 def test_records_are_immutable():

@@ -1,0 +1,71 @@
+"""Every Python version that pyproject.toml claims (requires-python >=
+3.10) compiles the package and prints the golden bytes.
+
+Each interpreter found on PATH byte-compiles every module of
+``src/netexposure`` and runs two numpy-free commands on the Laplace
+golden market; versions that are not installed are skipped. Only the
+exact path can run there, as those interpreters may lack numpy.
+"""
+
+import os
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+GOLDEN = ROOT / "tests" / "data" / "golden"
+VERSIONS = ("3.10", "3.11", "3.12", "3.13")
+COMMANDS = {
+    "laplace-12.analyze-bilateral-table.out": ("analyze", "--convention",
+                                               "bilateral"),
+    "laplace-12.compare-netting.out": ("compare-netting", "--class", "1"),
+}
+COMPILE = """
+import py_compile, sys
+for i, path in enumerate(sys.argv[2:]):
+    py_compile.compile(path, cfile=f"{sys.argv[1]}/{i}.pyc", doraise=True)
+"""
+
+
+def interpreter(version: str) -> str | None:
+    """The executable of ``python<version>`` on PATH, or None when there
+    is none or it is another version (as a version manager's shim for an
+    uninstalled version is)."""
+    found = shutil.which(f"python{version}")
+    if found is None:
+        return None
+    try:
+        done = subprocess.run(
+            [found, "-c", "import sys; print('%d.%d' % sys.version_info[:2]);"
+             " print(sys.executable)"], capture_output=True, text=True,
+            timeout=60)
+    except OSError:
+        return None
+    reported, _, executable = done.stdout.partition("\n")
+    return None if done.returncode or reported != version \
+        else executable.strip()
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_claimed_version_compiles_and_prints_the_golden_bytes(version,
+                                                              tmp_path):
+    executable = interpreter(version)
+    if executable is None:
+        pytest.skip(f"python{version} is not on PATH")
+    modules = sorted(map(str, (SRC / "netexposure").glob("*.py")))
+    compiled = subprocess.run([executable, "-c", COMPILE, str(tmp_path),
+                               *modules], capture_output=True, text=True,
+                              timeout=120)
+    assert compiled.returncode == 0, compiled.stderr
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    for golden, command in COMMANDS.items():
+        done = subprocess.run(
+            [executable, "-m", "netexposure.cli", command[0], "--market",
+             str(GOLDEN / "laplace-12.json"), *command[1:]],
+            capture_output=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (0, b""), done.stderr
+        assert done.stdout == (GOLDEN / golden).read_bytes()
