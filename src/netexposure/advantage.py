@@ -15,9 +15,9 @@ which makes the minimal-participants table bit-reproducible; the normal
 law reduces to the integer test 4K(N-1) < N^2.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from typing import NamedTuple
 
 from .exposure import (
     exact_exposure,
@@ -116,8 +116,7 @@ def min_participants_table(dist: Distribution, k_max: int) -> list[int]:
     return table
 
 
-@dataclass(frozen=True)
-class AdvantageReport:
+class AdvantageReport(NamedTuple):
     cls: int
     with_ccp: float
     without_ccp: float

@@ -40,9 +40,10 @@ from .market import (
     Multilateral,
     NettingSet,
     SIGN_SYMMETRIC,
+    _items,
     _kind,
+    _mirrored,
     _partition,
-    _side,
     netting_sets,
     require_valid,
 )
@@ -311,10 +312,11 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
         for key, group in groups[v].items():
             if len(group) == 3:
                 continue  # an unused pool
-            group = _side(v, key, group)
             signature = group[0], group[1], group[2]
+            if group[0] != group[1] and _mirrored(v, key, group):
+                signature = group[1], group[0], group[2]  # as ``v`` reads it
             if (entry := seen.get(signature)) is None:
-                s = NettingSet(v, tuple(group[3:]), kind(key))
+                s = NettingSet(v, _items(v, key, group), kind(key))
                 e = firsts[v, key] = expected_exposure(m, s, dist, tol, cache)
                 entry = seen[signature] = [e, 0]
             entry[1] += 1
@@ -334,8 +336,8 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
             for key, group in groups[v].items():
                 if len(group) > 3:
                     yield firsts.get((v, key)) or expected_exposure(
-                        m, NettingSet(v, tuple(_side(v, key, group)[3:]),
-                                      kind(key)), dist, tol, cache)
+                        m, NettingSet(v, _items(v, key, group), kind(key)),
+                        dist, tol, cache)
 
     exact = None
     if seen and all(e.exact is not None for e, _ in seen.values()):

@@ -9,9 +9,10 @@ Parsing and serialisation round-trip on the canonical form.
 
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
 from .laws import LAWS, Distribution
 from .market import (
@@ -33,14 +34,14 @@ class ParseError(ValueError):
     """Malformed market file; the message carries the JSON path."""
 
 
-@dataclass(frozen=True)
-class MarketFile:
+class MarketFile(NamedTuple):
     market: Market
     convention: Convention | None
     dist: Distribution | None
 
 
 _LINK_KEYS = frozenset({"from", "to", "class", "directed", "weight"})
+_tuple_new = tuple.__new__  # builds a Link without its Python-level __new__
 
 
 def _object(obj, where: str, keys=None) -> dict:
@@ -146,7 +147,7 @@ def _parse_link(obj, i: int) -> Link:
         if (type(u) is type(w) is str and type(c) is int and type(d) is bool
                 and (x is None or type(x) is float)  # and no unknown key:
                 and len(obj) == 3 + ("directed" in obj) + ("weight" in obj)):
-            return Link(u, w, c, d, x)
+            return _tuple_new(Link, (u, w, c, d, x))
     where = f"$.links[{i}]"  # faults, int weights and nulls take _need
     _object(obj, where, _LINK_KEYS)
     return Link(_need(obj, "from", str, where), _need(obj, "to", str, where),
@@ -197,11 +198,10 @@ def parse_market(path: str | Path) -> MarketFile:
 def serialize_market(mf: MarketFile) -> dict:
     """Canonical JSON form; parsing it back reproduces the input."""
     links = []
-    for a in mf.market.links:
-        obj = {"from": a.source, "to": a.target, "class": a.cls,
-               "directed": a.directed}
-        if a.weight is not None:
-            obj["weight"] = a.weight
+    for u, w, cls, directed, weight in mf.market.links:
+        obj = {"from": u, "to": w, "class": cls, "directed": directed}
+        if weight is not None:
+            obj["weight"] = weight
         links.append(obj)
     data = {
         "participants": list(mf.market.participants),

@@ -47,13 +47,13 @@ class MarketError(ValueError):
     """A market or partition failed validation."""
 
 
-@dataclass(frozen=True, slots=True)
-class Link:
+class Link(NamedTuple):
     """One netted bilateral position within a derivative class.
 
     For a directed link the source is the debtor and the target the
     creditor. For an undirected link the endpoint order only fixes how the
     sign of a realised weight is read: positive means the source claims.
+    A named tuple, copied with ``_replace``; equal to its plain tuple.
     """
 
     source: str
@@ -86,8 +86,7 @@ class Market:
         return tuple(validate_market(self))
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     in_degree: int
     out_degree: int
 
@@ -155,8 +154,7 @@ def validate_market(m: Market) -> list[str]:
         errors.append("market needs at least one derivative class")
     known = set(m.participants)
     seen_pairs = set()
-    for idx, a in enumerate(m.links):
-        u, w, cls, weight = a.source, a.target, a.cls, a.weight
+    for idx, (u, w, cls, _, weight) in enumerate(m.links):
         key = (u, w, cls) if u < w else (w, u, cls)
         duplicate = key in seen_pairs
         seen_pairs.add(key)
@@ -165,17 +163,17 @@ def validate_market(m: Market) -> list[str]:
                 or weight is not None and not -inf < weight < inf):
             continue
         where = f"links[{idx}]"
-        if a.source == a.target:
-            errors.append(f"{where}: self-link at {a.source!r}")
-        for v in (a.source, a.target):
+        if u == w:
+            errors.append(f"{where}: self-link at {u!r}")
+        for v in (u, w):
             if v not in known:
                 errors.append(f"{where}: unknown participant {v!r}")
-        if not 1 <= a.cls <= m.n_classes:
-            errors.append(f"{where}: unknown class {a.cls} "
+        if not 1 <= cls <= m.n_classes:
+            errors.append(f"{where}: unknown class {cls} "
                           f"(market has {m.n_classes})")
         if duplicate:
             errors.append(f"{where}: duplicate pair-class link "
-                          f"{a.source}-{a.target} in class {a.cls}")
+                          f"{u}-{w} in class {cls}")
         if weight is not None and not -inf < weight < inf:
             errors.append(f"{where}: realised weight {weight!r} is not finite")
     return errors
@@ -238,7 +236,7 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
         for flip, i in zip(choice, indices):
             a = links[i]
             src, dst = (a.target, a.source) if flip else (a.source, a.target)
-            links[i] = replace(a, source=src, target=dst, directed=True)
+            links[i] = a._replace(source=src, target=dst, directed=True)
         yield replace(m, links=tuple(links))
 
 
@@ -258,11 +256,10 @@ def _partition(m: Market, convention: Convention
         raise TypeError(f"unknown convention: {convention!r}")
     pool = getattr(convention, "cls", None)
     groups = defaultdict(lambda: {None: [0, 0, 0]})  # unknown ends dropped
-    for i, a in enumerate(m.links):
-        u, w = a.source, a.target
+    for i, (u, w, cls, directed, _) in enumerate(m.links):
         # the target's census slot and sign; the source's are at + sign, -sign
-        at, sign = (0, 1) if a.directed else (2, SIGN_SYMMETRIC)
-        if a.cls == pool:
+        at, sign = (0, 1) if directed else (2, SIGN_SYMMETRIC)
+        if cls == pool:
             if u != w:
                 group = groups[u][None]
                 group[at + sign] += 1
@@ -270,19 +267,25 @@ def _partition(m: Market, convention: Convention
             group = groups[w][None]
         elif (group := groups[w].get(u)) is None:
             group = groups[w][u] = groups[u][w] = [0, 0, 0]
-        if u < w and a.cls != pool:  # signed from the smaller name's side
+        if u < w and cls != pool:  # signed from the smaller name's side
             at, sign = at + sign, -sign
         group[at] += 1
         group.append((i, sign))
     return {v: groups[v] for v in m.participants}
 
 
-def _side(owner: str, key, group: list) -> list:
-    """``owner``'s group under ``key`` as it sees it: read from the larger
-    name, a pair record swaps claims and debts and negates signs."""
-    if type(key) is not str or owner <= key or not (group[0] or group[1]):
-        return group
-    return [group[1], group[0], group[2], *[(i, -s) for i, s in group[3:]]]
+def _mirrored(owner: str, key, group: list) -> bool:
+    """Whether ``owner`` reads its ``_partition`` group under ``key``
+    mirrored: a pair record with directed links, read from the larger
+    name, swaps claims and debts and negates signs."""
+    return type(key) is str and owner > key and group[0] + group[1] > 0
+
+
+def _items(owner: str, key, group: list) -> tuple[tuple[int, int], ...]:
+    """``owner``'s netting-set items of its group under ``key``."""
+    if _mirrored(owner, key, group):
+        return tuple([(i, -s) for i, s in group[3:]])
+    return tuple(group[3:])
 
 
 def _kind(key: str | None, convention: Convention) -> str:
@@ -328,7 +331,7 @@ def netting_sets(m: Market, convention: Convention
                 raise MarketError(f"netting sets of {v!r} do not cover "
                                   f"links {missing}")
         return out
-    return {v: [NettingSet(v, tuple(_side(v, k, g)[3:]), _kind(k, convention))
+    return {v: [NettingSet(v, _items(v, k, g), _kind(k, convention))
                 for k, g in groups.items() if len(g) > 3]
             for v, groups in _partition(m, convention).items()}
 
@@ -347,13 +350,12 @@ def _pair_positions(m: Market, cleared: int | None = None
     """Net realised position per unordered pair outside class ``cleared``,
     signed towards the key's first (lexicographically smaller) vertex."""
     pos: dict[tuple[str, str], float] = {}
-    for a in m.links:
-        if a.cls == cleared:
+    for u, w, cls, directed, weight in m.links:
+        if cls == cleared:
             continue
-        credit = a.target if a.directed else a.source
-        debit = a.source if a.directed else a.target
+        credit, debit = (w, u) if directed else (u, w)
         key = (credit, debit) if credit < debit else (debit, credit)
-        signed = a.weight if key[0] == credit else -a.weight
+        signed = weight if key[0] == credit else -weight
         pos[key] = pos.get(key, 0.0) + signed
     return pos
 
@@ -368,8 +370,7 @@ def current_bilateral_risk(m: Market) -> float:
     return float(sum(abs(y) for y in _pair_positions(m).values()))
 
 
-@dataclass(frozen=True)
-class MultilateralRisk:
+class MultilateralRisk(NamedTuple):
     class_measure: float  # sum over vertices of |net class position|
     combined: float       # class measure plus bilateral risk of the rest
 
@@ -383,13 +384,12 @@ def current_multilateral_risk(m: Market, cls: int) -> MultilateralRisk:
     _require_weights(m)
     _require_class(m, cls)
     per_vertex = {v: 0.0 for v in m.participants}
-    for a in m.links:
-        if a.cls != cls:
+    for u, w, c, directed, weight in m.links:
+        if c != cls:
             continue
-        credit = a.target if a.directed else a.source
-        debit = a.source if a.directed else a.target
-        per_vertex[credit] += a.weight
-        per_vertex[debit] -= a.weight
+        credit, debit = (w, u) if directed else (u, w)
+        per_vertex[credit] += weight
+        per_vertex[debit] -= weight
     class_measure = float(sum(abs(y) for y in per_vertex.values()))
     rest = float(sum(abs(y) for y in _pair_positions(m, cls).values()))
     return MultilateralRisk(class_measure=class_measure,

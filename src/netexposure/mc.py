@@ -17,7 +17,7 @@ same Philox stream (``charfn.sample``).
 """
 
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MCEstimate:
+class MCEstimate(NamedTuple):
     estimate: float
     stderr: float
 
@@ -169,10 +168,9 @@ def market_total_samples(m: Market, dist: Distribution, n: int, seed: int,
         _require_class(m, ccp_class)
         vertex_pos = {v: np.zeros(n) for v in m.participants}
     pairs: dict[frozenset, list[tuple[int, bool]]] = {}
-    for i, link in enumerate(m.links):
-        credit = link.target if link.directed else link.source
-        debit = link.source if link.directed else link.target
-        if link.cls != ccp_class:
+    for i, (u, w, cls, directed, _) in enumerate(m.links):
+        credit, debit = (w, u) if directed else (u, w)
+        if cls != ccp_class:
             # a pair's net is read from its smaller participant's side
             pairs.setdefault(frozenset((credit, debit)), []).append(
                 (i, credit > debit))

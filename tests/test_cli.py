@@ -76,7 +76,7 @@ def test_weights_survive_round_trip(tmp_path):
 
     m = two_vertex_market(1)
     m = dataclasses.replace(
-        m, links=(dataclasses.replace(m.links[0], weight=2.5),))
+        m, links=(m.links[0]._replace(weight=2.5),))
     path = market_file(tmp_path, m)
     assert parse_market(path).market.links[0].weight == 2.5
 

@@ -17,16 +17,19 @@ from netexposure import (
     MarketError,
     Multilateral,
     NettingSet,
+    ccp_advantage,
     current_bilateral_risk,
     current_multilateral_risk,
     degree_profile,
     enumerate_orientations,
     expected_exposure,
     is_eulerian,
+    mc_market_totals,
     netting_sets,
     validate_market,
 )
-from netexposure.market import _partition, _side, require_valid
+from netexposure.io import MarketFile, parse_market_data, serialize_market
+from netexposure.market import _items, _mirrored, _partition, require_valid
 from conftest import (
     illustrative_market,
     path_market,
@@ -469,7 +472,10 @@ def test_partition_of_invalid_markets_and_mirrored_sides():
             for key, group in groups[v].items():
                 if key is None:
                     continue
-                claims, debts, undirected, *items = _side(v, key, group)
+                claims, debts, undirected = group[:3]
+                if _mirrored(v, key, group):
+                    claims, debts = debts, claims
+                items = _items(v, key, group)
                 mine = by_kind[v, f"bilateral:{key}"]
                 theirs = by_kind[key, f"bilateral:{v}"]
                 assert (claims, debts, undirected) == (
@@ -477,7 +483,7 @@ def test_partition_of_invalid_markets_and_mirrored_sides():
                     mine.signs.count(0))
                 assert (debts, claims) == (theirs.signs.count(1),
                                            theirs.signs.count(-1))
-                assert mine.items == tuple(items) == tuple(
+                assert mine.items == items == tuple(
                     (i, -s) for i, s in theirs.items)
 
 
@@ -485,11 +491,34 @@ def test_records_are_immutable():
     m = triangle_directed()
     s = netting_sets(m, Bilateral())["v1"][0]
     e = expected_exposure(m, s, LaplaceSym(1.0))
-    for record, field in ((m.links[0], "cls"), (m, "n_classes"),
-                          (s, "owner"), (e, "value")):
+    for record, field in (
+            (m.links[0], "cls"), (m, "n_classes"), (s, "owner"),
+            (e, "value"), (MarketFile(m, None, None), "market"),
+            (ccp_advantage(m, LaplaceSym(1.0), 1), "tie"),
+            (degree_profile(m, "v1", 1), "in_degree"),
+            (current_multilateral_risk(weighted(m, [1.0] * 3), 1),
+             "combined"),
+            (mc_market_totals(m, LaplaceSym(1.0), 10, 1), "stderr")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
     assert hash(m) == hash(triangle_directed())
+
+
+def test_link_is_a_named_tuple():
+    a = Link("v", "w", 2, True, 1.5)
+    assert a == ("v", "w", 2, True, 1.5) and hash(a) == hash(tuple(a))
+    assert Link("v", "w", 2, True) == ("v", "w", 2, True, None)
+    moved = a._replace(target="x", weight=None)
+    assert type(moved) is Link and moved == ("v", "x", 2, True, None)
+    mf = MarketFile(Market(("v", "w"), 2, (a,)), None, None)
+    keys = {"from": "source", "to": "target", "class": "cls"}
+    data = serialize_market(mf)
+    assert Link._fields == tuple(keys.get(k, k) for k in data["links"][0])
+    parsed = parse_market_data(data).market.links
+    assert parsed == (a,) and type(parsed[0]) is Link
+    links = [b for om in enumerate_orientations(triangle_undirected(), 1)
+             for b in om.links]
+    assert links and all(type(b) is Link for b in links)
 
 
 def test_require_valid_raises_on_every_call():
@@ -557,8 +586,7 @@ def test_orientations_leave_other_classes_untouched():
 # ---------------------------------------------------------------------------
 
 def weighted(m: Market, weights) -> Market:
-    links = tuple(dataclasses.replace(a, weight=w)
-                  for a, w in zip(m.links, weights))
+    links = tuple(a._replace(weight=w) for a, w in zip(m.links, weights))
     return dataclasses.replace(m, links=links)
 
 

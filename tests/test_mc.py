@@ -170,7 +170,7 @@ def materialise(m: Market, dist, n: int, seed: int):
     draws = [link_draw(m, dist, i, n, seed) for i in range(len(m.links))]
     markets = []
     for j in range(n):
-        links = tuple(dataclasses.replace(a, weight=float(draws[i][j]))
+        links = tuple(a._replace(weight=float(draws[i][j]))
                       for i, a in enumerate(m.links))
         markets.append(dataclasses.replace(m, links=links))
     return markets
@@ -221,7 +221,7 @@ def test_market_total_memory_is_bounded(directed, ccp):
     m = complete_market(10, 3)  # 135 links in 45 pairs
     if directed:
         m = dataclasses.replace(m, links=tuple(
-            dataclasses.replace(a, directed=True) for a in m.links))
+            a._replace(directed=True) for a in m.links))
     n = 20_000
     tracemalloc.start()
     try:
@@ -238,7 +238,7 @@ def mixed_market() -> Market:
     other link directed."""
     m = complete_market(5, 2)
     return dataclasses.replace(m, links=tuple(
-        dataclasses.replace(a, directed=bool(i % 2))
+        a._replace(directed=bool(i % 2))
         for i, a in enumerate(m.links)))
 
 

@@ -7,7 +7,6 @@ below is the layout it must reproduce byte for byte, as
 
 import json
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -121,8 +120,8 @@ def renamed_markets(draw):
                           min_size=len(m.participants),
                           max_size=len(m.participants), unique=True))
     rename = dict(zip(m.participants, names))
-    links = tuple(replace(a, source=rename[a.source],
-                          target=rename[a.target]) for a in m.links)
+    links = tuple(a._replace(source=rename[a.source],
+                             target=rename[a.target]) for a in m.links)
     return Market(tuple(names), m.n_classes, links)
 
 
