@@ -9,7 +9,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
 
 from .advantage import ccp_advantage, min_participants_table
 from .exposure import expected_market
@@ -34,15 +33,15 @@ def __getattr__(name: str):
 
 def _dist_from_args(args):
     law = LAWS[args.dist]
-    return law(*(getattr(args, f.name) for f in fields(law)))
+    return law(*(getattr(args, name) for name in law._fields))
 
 
 def _add_dist_args(parser):
     parser.add_argument("--dist", required=True, choices=list(LAWS))
     laws_of = {}  # each law field, in catalog order, and the laws using it
     for name, law in LAWS.items():
-        for f in fields(law):
-            laws_of.setdefault(f.name, []).append(name)
+        for param in law._fields:
+            laws_of.setdefault(param, []).append(name)
     for param, laws in laws_of.items():
         parser.add_argument("--" + param.replace("_", "-"), type=float,
                             default=1.0,

@@ -25,10 +25,10 @@ clipped position max[Y; 0].
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .laws import (DEFAULT_TOL, Distribution, LaplaceSym, MomentError,
                    NormalSym, UniformSym, _square)
@@ -86,22 +86,16 @@ class SetExposure(NamedTuple):
     exact: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class ExposureReport:
-    """A market evaluation; ``per_netting_set`` is made from the rows it
-    is given (any iterable, read once) on first read."""
-
-    convention: str
-    _rows: Iterable[SetExposure] = field(repr=False)
-    per_participant: dict[str, float]
-    market_total: float
-    market_total_exact: Fraction | None
-    components: dict[str, float]
-    pair_view: dict[tuple[str, str], float]
+class ExposureReport(namedtuple("ExposureReport", (
+        "convention", "rows", "per_participant", "market_total",
+        "market_total_exact", "components", "pair_view"))):
+    """A market evaluation. ``per_netting_set`` is made from ``rows`` (any
+    iterable of ``SetExposure``, read once) on first read, and cached in
+    the ``__dict__`` that this named tuple subclass keeps."""
 
     @cached_property
     def per_netting_set(self) -> tuple[SetExposure, ...]:
-        return tuple(self._rows)
+        return tuple(self.rows)
 
 
 def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
@@ -161,6 +155,8 @@ def netting_set_cf(m: Market, s: NettingSet, dist: Distribution
     real and even (each claim factor pairs with a debt conjugate), which
     is what unlocks the parity shortcuts downstream.
     """
+    from dataclasses import replace
+
     from .charfn import cf_product, charfn_of
     from .transforms import neg_abs_cf, pos_abs_cf
     _require_two_sided(dist)

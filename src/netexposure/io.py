@@ -9,7 +9,6 @@ Parsing and serialisation round-trip on the canonical form.
 
 import json
 import math
-from dataclasses import MISSING, asdict, fields
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
@@ -42,6 +41,7 @@ class MarketFile(NamedTuple):
 
 _LINK_KEYS = frozenset({"from", "to", "class", "directed", "weight"})
 _tuple_new = tuple.__new__  # builds a Link without its Python-level __new__
+MISSING = object()  # ``_need``'s default: the key is required
 
 
 def _object(obj, where: str, keys=None) -> dict:
@@ -83,13 +83,13 @@ def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
     law = LAWS.get(kind)
     if law is None:
         raise ParseError(f"{where}.type: unknown distribution {kind!r}")
-    names = [f.name for f in fields(law)]
+    names = law._fields
     for key in obj:
         if key != "type" and key not in names:
             raise ParseError(f"{where}.{key}: unknown parameter of {kind} "
                              f"({', '.join(names)})")
-    params = [_need(obj, f.name, float, where, f.default)
-              for f in fields(law)]
+    params = [_need(obj, name, float, where,
+                    law._field_defaults.get(name, MISSING)) for name in names]
     try:
         return law(*params)
     except ValueError as exc:
@@ -99,7 +99,7 @@ def dist_from_json(obj: dict, where: str = "dist") -> Distribution:
 def dist_to_json(dist: Distribution) -> dict:
     for name, law in LAWS.items():
         if type(dist) is law:
-            return {"type": name, **asdict(dist)}
+            return {"type": name, **dist._asdict()}
     raise TypeError(f"unknown distribution spec: {dist!r}")
 
 

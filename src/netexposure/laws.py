@@ -7,7 +7,7 @@ the c.f.s (``charfn``), transforms and Monte Carlo oracle load numpy.
 """
 
 import math
-from dataclasses import dataclass, fields
+from collections import namedtuple
 
 __all__ = ["Distribution", "LaplaceSym", "NormalSym", "UniformSym", "Gamma",
            "Exponential", "LAWS", "MomentError", "ROUTES", "TruncationError"]
@@ -26,27 +26,36 @@ class MomentError(ValueError):
     """Raised when moment extraction from a characteristic function fails."""
 
 
-@dataclass(frozen=True)
 class Distribution:
-    """Base class for catalog entries. ``two_sided`` laws are symmetric
-    about 0 with zero mean; one-sided laws have support in (0, inf). A
-    law's parameters are its dataclass fields, each positive and finite."""
+    """Base class for catalog entries, each a named tuple of its parameters,
+    every one positive and finite. ``two_sided`` laws are symmetric about 0
+    with zero mean; one-sided laws have support in (0, inf). ``abs_mean``
+    is E|X| for two-sided laws, E(X) for one-sided laws. A law equals, and
+    hashes like, laws of its own type only, never a plain tuple."""
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        law = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(law._fields, law):
             if not 0 < value < math.inf:
-                raise ValueError(f"{f.name} must be positive and finite, "
+                raise ValueError(f"{name} must be positive and finite, "
                                  f"got {value!r}")
+        return law
 
-    @property
-    def two_sided(self) -> bool:
-        raise NotImplementedError
+    @classmethod
+    def _make(cls, iterable):
+        """The named tuple's ``_make`` and ``_replace``, through the check."""
+        return cls(*iterable)
 
-    @property
-    def abs_mean(self) -> float:
-        """E|X| for two-sided laws, E(X) for one-sided laws."""
-        raise NotImplementedError
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    def __hash__(self):
+        return hash((type(self), tuple(self)))
 
 
 def _square(spec: "Distribution", x: float) -> float:
@@ -60,59 +69,52 @@ def _square(spec: "Distribution", x: float) -> float:
     return sq
 
 
-@dataclass(frozen=True)
-class LaplaceSym(Distribution):
+class LaplaceSym(Distribution, namedtuple("LaplaceSym", "scale",
+                                          defaults=(1.0,))):
     """Symmetric Laplace law with density exp(-|x|/b) / (2b)."""
 
-    scale: float = 1.0
-
-    two_sided = property(lambda self: True)
+    __slots__ = ()
+    two_sided = True
     abs_mean = property(lambda self: self.scale)
 
 
-@dataclass(frozen=True)
-class NormalSym(Distribution):
+class NormalSym(Distribution, namedtuple("NormalSym", "sigma",
+                                         defaults=(1.0,))):
     """Centred normal law N(0, sigma)."""
 
-    sigma: float = 1.0
-
-    two_sided = property(lambda self: True)
+    __slots__ = ()
+    two_sided = True
     abs_mean = property(lambda self: self.sigma * math.sqrt(2.0 / math.pi))
 
 
-@dataclass(frozen=True)
-class UniformSym(Distribution):
+class UniformSym(Distribution, namedtuple("UniformSym", "half_width",
+                                          defaults=(1.0,))):
     """Uniform law on [-c, c]."""
 
-    half_width: float = 1.0
-
-    two_sided = property(lambda self: True)
+    __slots__ = ()
+    two_sided = True
     abs_mean = property(lambda self: 0.5 * self.half_width)
 
 
-@dataclass(frozen=True)
-class Gamma(Distribution):
+class Gamma(Distribution, namedtuple("Gamma", "shape scale")):
     """Gamma law with shape alpha and scale beta, support (0, inf)."""
 
-    shape: float
-    scale: float
-
-    two_sided = property(lambda self: False)
+    __slots__ = ()
+    two_sided = False
     abs_mean = property(lambda self: self.shape * self.scale)
 
 
-@dataclass(frozen=True)
-class Exponential(Distribution):
+class Exponential(Distribution, namedtuple("Exponential", "scale",
+                                           defaults=(1.0,))):
     """Exponential law with mean theta; equals the positive absolute value
     of LaplaceSym(theta)."""
 
-    scale: float = 1.0
-
-    two_sided = property(lambda self: False)
+    __slots__ = ()
+    two_sided = False
     abs_mean = property(lambda self: self.scale)
 
 
 # The catalog by the name a market file's ``type`` and the CLI's ``--dist``
-# use; a law's fields name its JSON keys and CLI flags.
+# use; a law's ``_fields`` name its JSON keys and CLI flags.
 LAWS = {"laplace": LaplaceSym, "normal": NormalSym, "uniform": UniformSym,
         "gamma": Gamma, "exponential": Exponential}

@@ -10,8 +10,7 @@ is read-only.
 """
 
 import itertools
-from collections import defaultdict
-from dataclasses import dataclass, replace
+from collections import defaultdict, namedtuple
 from functools import cached_property
 from math import inf
 from operator import itemgetter
@@ -69,17 +68,13 @@ class Link(NamedTuple):
         return vertex == self.source or vertex == self.target
 
 
-@dataclass(frozen=True)
-class Market:
-    """N participants, K classes and the links between them.
+class Market(namedtuple("Market", "participants n_classes links")):
+    """N participants (a tuple of names), K classes and a tuple of links.
 
-    The validation errors are computed lazily, once per instance; a market
-    built by ``dataclasses.replace`` starts without them.
+    A named tuple with an instance ``__dict__``, where the validation
+    errors are cached, computed lazily once per instance; a market built
+    by ``_replace`` starts without them.
     """
-
-    participants: tuple[str, ...]
-    n_classes: int
-    links: tuple[Link, ...]
 
     @cached_property
     def _errors(self) -> tuple[str, ...]:
@@ -117,13 +112,23 @@ class NettingSet(NamedTuple):
 
 # Netting conventions ---------------------------------------------------------
 
-@dataclass(frozen=True)
 class Bilateral:
-    """Net across all classes, per counterparty pair."""
+    """Net across all classes, per counterparty pair. Not a named tuple:
+    one without fields would be falsy and equal ``()``."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is Bilateral
+
+    def __hash__(self):
+        return hash(Bilateral)
+
+    def __repr__(self):
+        return "Bilateral()"
 
 
-@dataclass(frozen=True)
-class Multilateral:
+class Multilateral(NamedTuple):
     """Clear one class through a central counterparty (netting across all
     of a participant's positions in that class); other classes stay
     bilateral."""
@@ -131,8 +136,7 @@ class Multilateral:
     cls: int
 
 
-@dataclass(frozen=True)
-class Custom:
+class Custom(NamedTuple):
     """Explicit partition: owner -> tuple of blocks of link indices."""
 
     sets: tuple[tuple[str, tuple[int, ...]], ...]
@@ -237,7 +241,7 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
             a = links[i]
             src, dst = (a.target, a.source) if flip else (a.source, a.target)
             links[i] = a._replace(source=src, target=dst, directed=True)
-        yield replace(m, links=tuple(links))
+        yield m._replace(links=tuple(links))
 
 
 # Netting partitions ----------------------------------------------------------

@@ -13,17 +13,18 @@ vectors however many links it draws.
 Directed links draw sign=+1 values, so a Laplace link costs one ziggurat
 exponential per sample (|X| of a Laplace(b) variable is Exp(b));
 undirected Laplace links add one fair sign bit per sample, taken from the
-same Philox stream (``charfn.sample``).
+same Philox stream (``sample``).
 """
 
+import math
 import threading
 from typing import NamedTuple
 
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .charfn import sample
-from .laws import Distribution, MomentError
+from .laws import (Distribution, Exponential, Gamma, LaplaceSym, MomentError,
+                   NormalSym, UniformSym)
 from .market import (
     Convention,
     Market,
@@ -39,6 +40,7 @@ __all__ = [
     "mc_market_totals",
     "market_total_samples",
     "link_draw",
+    "sample",
 ]
 
 
@@ -53,6 +55,82 @@ class MCEstimate(NamedTuple):
             raise MomentError("the Monte Carlo standard error is "
                               f"{self.stderr:g}, so the z-score is undefined")
         return (self.estimate - reference) / self.stderr
+
+
+def _laplace_sample(scale: float, rng: np.random.Generator,
+                    sign: int | None, out: np.ndarray) -> None:
+    """Laplace(scale) draws into ``out``, as an exponential magnitude
+    times a sign.
+
+    |X| of a Laplace(b) variable is Exp(b), so each draw costs one
+    ziggurat exponential. Unsigned draws take one fair sign bit each from
+    the same generator's raw 64-bit words (read as little-endian bytes,
+    so the stream is the same on either byte order) and are multiplied by
+    1 - 2 * bit, which flips only the sign. That factor is an int8 array:
+    a float64 one would cost as much again as the exponential draw.
+    """
+    rng.standard_exponential(out=out)
+    factor = scale if sign is None else sign * scale
+    if factor != 1.0:
+        out *= factor
+    if sign is None:
+        flat = out.reshape(-1)
+        words = rng.bit_generator.random_raw((flat.size + 63) // 64)
+        bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                             count=flat.size, bitorder="little")
+        flat *= 1 - 2 * bits.view(np.int8)
+
+
+# an extreme scale overflows the draws to inf, silently, as in numpy's
+# own samplers
+@np.errstate(over="ignore")
+def sample(spec: Distribution, rng: np.random.Generator,
+           sign: int | None = None, size: int | None = None,
+           out: np.ndarray | None = None):
+    """Draw from the law, or from sign*|X| when a sign is given.
+
+    Normal, uniform, gamma and exponential draws scale numpy's standard
+    draw in place, bit for bit numpy's ``normal``, ``uniform``, ``gamma``
+    and ``exponential``.
+
+    Args:
+        spec: catalog law.
+        rng: caller-owned numpy generator.
+        sign: +1 or -1 to draw the signed absolute value; only legal for
+            two-sided laws.
+        size: number of draws or an array shape (None for a scalar).
+        out: C-contiguous float64 array to draw into, as in numpy; its
+            shape replaces ``size``, and it is returned.
+    """
+    if sign is not None and not spec.two_sided:
+        raise ValueError("signed absolute values are defined only for "
+                         "two-sided (symmetric) distributions")
+    x = np.empty(1 if size is None else size) if out is None else out
+    if isinstance(spec, LaplaceSym):
+        _laplace_sample(spec.scale, rng, sign, x)
+        sign = None  # drawn with the magnitudes
+    elif isinstance(spec, NormalSym):
+        rng.standard_normal(out=x)
+        x *= spec.sigma
+    elif isinstance(spec, UniformSym):
+        if not 2.0 * spec.half_width < math.inf:
+            raise MomentError(f"the support of {spec!r} overflows a float")
+        rng.random(out=x)
+        x *= 2.0 * spec.half_width
+        x -= spec.half_width
+    elif isinstance(spec, Gamma):
+        rng.standard_gamma(spec.shape, out=x)
+        x *= spec.scale
+    elif isinstance(spec, Exponential):
+        rng.standard_exponential(out=x)
+        x *= spec.scale
+    else:
+        raise TypeError(f"unknown distribution spec: {spec!r}")
+    if sign is not None:
+        np.abs(x, out=x)
+        if sign < 0:
+            np.negative(x, out=x)
+    return x[0] if out is None and size is None else x
 
 
 _THREAD = threading.local()

@@ -145,8 +145,9 @@ def test_load_time_import_check_sees_module_level_imports():
 
 def test_exact_commands_load_no_numpy(tmp_path):
     # in a fresh interpreter: analyze and compare-netting on Laplace and
-    # uniform markets and every advantage-table; a normal market with
-    # directed links then loads the transforms, and not the oracle
+    # uniform markets and every advantage-table load neither numpy nor
+    # dataclasses; a Laplace mc-check then loads numpy and the oracle
+    # only, and a normal market with directed links the transforms
     golden = Path(__file__).parent / "data" / "golden"
     laplace = golden / "laplace-12.json"
     uniform = tmp_path / "uniform-12.json"
@@ -162,8 +163,8 @@ def test_exact_commands_load_no_numpy(tmp_path):
     script = (
         "import contextlib, io, json, sys\n"
         "import netexposure.cli as cli\n"
-        f"numeric = {NUMERIC!r}\n"
-        "loaded = lambda: [m for m in numeric if m in sys.modules]\n"
+        f"watched = {(*NUMERIC, 'dataclasses')!r}\n"
+        "loaded = lambda: [m for m in watched if m in sys.modules]\n"
         "print(json.dumps([None, 0, loaded()]))\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -173,15 +174,16 @@ def test_exact_commands_load_no_numpy(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(
-            commands + [["analyze", "--market",
-                         str(golden / "normal-5.json")]])],
+        [sys.executable, "-c", script, json.dumps(commands + [
+            ["mc-check", "--market", str(laplace), "--samples", "100"],
+            ["analyze", "--market", str(golden / "normal-5.json")]])],
         capture_output=True, text=True, env=env, timeout=120, check=True)
-    *exact, last = map(json.loads, done.stdout.splitlines())
+    *exact, oracle, last = map(json.loads, done.stdout.splitlines())
     assert len(exact) == len(commands) + 1
     for command, code, loaded in exact:
         assert (code, loaded) == (0, []), command
-    assert last == ["analyze", 0, list(NUMERIC[:3])]
+    assert oracle == ["mc-check", 0, ["numpy", "netexposure.mc"]]
+    assert last == ["analyze", 0, [*NUMERIC, "dataclasses"]]
 
 
 def _lazy_and_bound_names(source: str) -> tuple[set[str], set[str]]:

@@ -72,11 +72,8 @@ def test_round_trip_identity(tmp_path):
 
 
 def test_weights_survive_round_trip(tmp_path):
-    import dataclasses
-
     m = two_vertex_market(1)
-    m = dataclasses.replace(
-        m, links=(m.links[0]._replace(weight=2.5),))
+    m = m._replace(links=(m.links[0]._replace(weight=2.5),))
     path = market_file(tmp_path, m)
     assert parse_market(path).market.links[0].weight == 2.5
 

@@ -12,7 +12,7 @@ import itertools
 import json
 import tempfile
 import warnings
-from dataclasses import MISSING, fields
+from dataclasses import MISSING
 from pathlib import Path
 
 import pytest
@@ -96,9 +96,9 @@ def valid_markets(draw):
     law = draw(st.sampled_from(["laplace", "normal", "uniform",
                                 "exponential"]))
     dist = {"type": law}
-    for f in fields(LAWS[law]):
+    for name in LAWS[law]._fields:
         # ordinary scales and the extremes of the float range
-        dist[f.name] = draw(st.sampled_from(
+        dist[name] = draw(st.sampled_from(
             [0.5, 2, 5e-324, 1e-300, 1e307, 1e308, 1.5e308]))
     data = {"participants": parts, "classes": k, "links": links,
             "dist": dist}
@@ -283,8 +283,8 @@ def hilbert_commands(draw):
     argument checks, so the draws reach the transforms."""
     law = draw(st.sampled_from(list(LAWS)))
     argv = ["hilbert-eval", "--dist", law]
-    for f in fields(LAWS[law]):
-        argv.append(f"--{f.name.replace('_', '-')}="
+    for name in LAWS[law]._fields:
+        argv.append(f"--{name.replace('_', '-')}="
                     f"{draw(st.floats(1e-3, 1e3))!r}")
     power = draw(st.integers(1, 4))
     # left out: a forced pv on one uniform factor, with or without a side,

@@ -2,14 +2,14 @@
 parameters and their defaults, its CLI flags and its range check."""
 
 import math
-from dataclasses import MISSING, fields
 
 import pytest
 
 import netexposure.charfn as charfn
 import netexposure.cli as cli
 from netexposure.charfn import charfn_of
-from netexposure.laws import LAWS, Distribution
+from netexposure.laws import (LAWS, Distribution, Exponential, Gamma,
+                              LaplaceSym, UniformSym)
 from netexposure.io import (
     ParseError,
     dist_from_json,
@@ -21,18 +21,45 @@ from netexposure.io import (
 def _with_params(name, values):
     """``LAWS[name]`` built from ``values``, one per field in order."""
     law = LAWS[name]
-    return law(*values[:len(fields(law))])
+    return law(*values[:len(law._fields)])
 
 
 def test_catalog_lists_every_law():
     assert set(LAWS.values()) == set(Distribution.__subclasses__())
 
 
+def test_laws_compare_and_hash_by_type_and_value():
+    # a law is a named tuple that equals laws of its own type only
+    laws = [_with_params(name, [1.0, 1.0]) for name in LAWS]
+    for a in laws:
+        for b in laws:
+            assert (a == b) is (a is b) and (a != b) is (a is not b)
+        assert a != tuple(a) and tuple(a) != a and not a == tuple(a)
+        twin = type(a)(*a)
+        assert twin == a and not twin != a and hash(twin) == hash(a)
+    assert LaplaceSym(1.0) != UniformSym(1.0) != LaplaceSym(1.0)
+    assert len({LaplaceSym(2.0), LaplaceSym(2.0), Exponential(2.0)}) == 2
+    assert [repr(law) for law in laws] == [
+        "LaplaceSym(scale=1.0)", "NormalSym(sigma=1.0)",
+        "UniformSym(half_width=1.0)", "Gamma(shape=1.0, scale=1.0)",
+        "Exponential(scale=1.0)"]
+
+
+def test_named_tuple_copies_take_the_range_check():
+    message = "^scale must be positive and finite, got -1.0$"
+    with pytest.raises(ValueError, match=message):
+        LaplaceSym(1.0)._replace(scale=-1.0)
+    with pytest.raises(ValueError, match="^shape must be positive "):
+        Gamma._make([0.0, 1.0])
+    copy = Gamma(2.0, 3.0)._replace(scale=4.0)
+    assert type(copy) is Gamma and copy == Gamma._make([2.0, 4.0])
+
+
 @pytest.mark.parametrize("name", list(LAWS))
 def test_json_round_trip_keeps_the_law_and_key_order(name):
     d = _with_params(name, [1.5, 2.25])
     data = dist_to_json(d)
-    assert list(data) == ["type"] + [f.name for f in fields(d)]
+    assert list(data) == ["type", *d._fields]
     assert data["type"] == name
     back = dist_from_json(data)
     assert back == d and type(back) is type(d)
@@ -41,17 +68,17 @@ def test_json_round_trip_keeps_the_law_and_key_order(name):
 
 @pytest.mark.parametrize("name", list(LAWS))
 def test_json_int_parameter_is_a_float(name):
-    data = {"type": name, **{f.name: 2 for f in fields(LAWS[name])}}
+    data = {"type": name, **dict.fromkeys(LAWS[name]._fields, 2)}
     d = dist_from_json(data)
     assert d == _with_params(name, [2.0, 2.0])
-    assert all(type(getattr(d, f.name)) is float for f in fields(d))
+    assert all(type(value) is float for value in d)
 
 
 @pytest.mark.parametrize("name", [
     n for n, law in LAWS.items()
-    if all(f.default is not MISSING for f in fields(law))])
+    if len(law._field_defaults) == len(law._fields)])
 def test_json_null_or_absent_parameter_takes_the_default(name):
-    nulls = {"type": name, **{f.name: None for f in fields(LAWS[name])}}
+    nulls = {"type": name, **dict.fromkeys(LAWS[name]._fields)}
     assert dist_from_json(nulls) == LAWS[name]()
     assert dist_from_json({"type": name}) == LAWS[name]()
 
@@ -72,15 +99,15 @@ def test_bad_parameter_type_names_its_path_once():
 @pytest.mark.parametrize("value", [0.0, -1.0, math.inf, math.nan])
 @pytest.mark.parametrize("name", list(LAWS))
 def test_every_parameter_is_positive_and_finite(name, value):
-    for k, f in enumerate(fields(LAWS[name])):
-        params = [1.0] * len(fields(LAWS[name]))
+    names = LAWS[name]._fields
+    for k, field in enumerate(names):
+        params = [1.0] * len(names)
         params[k] = value
-        with pytest.raises(ValueError, match=f"^{f.name} must be positive "
+        with pytest.raises(ValueError, match=f"^{field} must be positive "
                                              "and finite, got "):
             LAWS[name](*params)
-        data = {"type": name, **{g.name: p for g, p in
-                                 zip(fields(LAWS[name]), params)}}
-        with pytest.raises(ParseError, match=rf"^\$\.dist: {f.name} must "):
+        data = {"type": name, **dict(zip(names, params))}
+        with pytest.raises(ParseError, match=rf"^\$\.dist: {field} must "):
             dist_from_json(data, "$.dist")
 
 
@@ -100,7 +127,7 @@ def _cli_law(monkeypatch, argv):
 
 @pytest.mark.parametrize("name", list(LAWS))
 def test_cli_flags_give_the_json_law(monkeypatch, capsys, name):
-    names = [f.name for f in fields(LAWS[name])]
+    names = LAWS[name]._fields
     # the CLI defaults every flag to 1.0
     assert (_cli_law(monkeypatch, ["--dist", name])
             == dist_from_json({"type": name, **dict.fromkeys(names, 1.0)}))

@@ -1,7 +1,6 @@
 """Market graphs: validation, degrees, partitions, orientations, and the
 deterministic realised-weight risk measures."""
 
-import dataclasses
 import re
 
 import pytest
@@ -23,6 +22,7 @@ from netexposure import (
     degree_profile,
     enumerate_orientations,
     expected_exposure,
+    expected_market,
     is_eulerian,
     mc_market_totals,
     netting_sets,
@@ -498,10 +498,19 @@ def test_records_are_immutable():
             (degree_profile(m, "v1", 1), "in_degree"),
             (current_multilateral_risk(weighted(m, [1.0] * 3), 1),
              "combined"),
-            (mc_market_totals(m, LaplaceSym(1.0), 10, 1), "stderr")):
+            (mc_market_totals(m, LaplaceSym(1.0), 10, 1), "stderr"),
+            (Multilateral(1), "cls"),
+            (expected_market(m, LaplaceSym(1.0), Bilateral()),
+             "market_total")):
         with pytest.raises(AttributeError):
             setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):  # no fields, and no __dict__
+        Bilateral().cls = 1
     assert hash(m) == hash(triangle_directed())
+    # a convention with no fields is still a true value, equal to its kind
+    assert Bilateral() and Bilateral() == Bilateral() != ()
+    assert hash(Bilateral()) == hash(Bilateral())
+    assert repr(Bilateral()) == "Bilateral()"
 
 
 def test_link_is_a_named_tuple():
@@ -532,8 +541,8 @@ def test_require_valid_raises_on_every_call():
 def test_replace_sees_new_links():
     m = two_vertex_market(2)
     require_valid(m)
-    grown = dataclasses.replace(
-        m, participants=("v", "w", "x"),
+    grown = m._replace(
+        participants=("v", "w", "x"),
         links=m.links + (Link("v", "x", 1, False), Link("x", "x", 2, False)))
     assert len(netting_sets(grown, Bilateral())["v"]) == 2
     with pytest.raises(MarketError, match="self-link"):
@@ -587,7 +596,7 @@ def test_orientations_leave_other_classes_untouched():
 
 def weighted(m: Market, weights) -> Market:
     links = tuple(a._replace(weight=w) for a, w in zip(m.links, weights))
-    return dataclasses.replace(m, links=links)
+    return m._replace(links=links)
 
 
 def test_single_claim_counted_once():

@@ -1,8 +1,6 @@
 """Monte Carlo oracle: determinism, convergence, and agreement with the
 deterministic measures on materialised sampled markets."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -22,9 +20,9 @@ from netexposure import (
     mc_expected_exposure,
     mc_market_totals,
 )
-from netexposure.charfn import MomentError, sample
+from netexposure.laws import MomentError
 from netexposure.market import SIGN_SYMMETRIC, netting_sets
-from netexposure.mc import _link_rng, link_draw, market_total_samples
+from netexposure.mc import _link_rng, link_draw, market_total_samples, sample
 from conftest import complete_market, path_market, triangle_directed, two_tier
 
 TWO_SIDED = [LaplaceSym(1.5), NormalSym(1.5), UniformSym(2.0)]
@@ -172,7 +170,7 @@ def materialise(m: Market, dist, n: int, seed: int):
     for j in range(n):
         links = tuple(a._replace(weight=float(draws[i][j]))
                       for i, a in enumerate(m.links))
-        markets.append(dataclasses.replace(m, links=links))
+        markets.append(m._replace(links=links))
     return markets
 
 
@@ -220,7 +218,7 @@ def test_market_total_memory_is_bounded(directed, ccp):
 
     m = complete_market(10, 3)  # 135 links in 45 pairs
     if directed:
-        m = dataclasses.replace(m, links=tuple(
+        m = m._replace(links=tuple(
             a._replace(directed=True) for a in m.links))
     n = 20_000
     tracemalloc.start()
@@ -237,7 +235,7 @@ def mixed_market() -> Market:
     """Complete graph on five participants, two classes, with every
     other link directed."""
     m = complete_market(5, 2)
-    return dataclasses.replace(m, links=tuple(
+    return m._replace(links=tuple(
         a._replace(directed=bool(i % 2))
         for i, a in enumerate(m.links)))
 
