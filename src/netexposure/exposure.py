@@ -90,8 +90,10 @@ class ExposureReport(namedtuple("ExposureReport", (
         "convention", "rows", "per_participant", "market_total",
         "market_total_exact", "components", "pair_view"))):
     """A market evaluation. ``per_netting_set`` is made from ``rows`` (any
-    iterable of ``SetExposure``, read once) on first read, and cached in
-    the ``__dict__`` that this named tuple subclass keeps."""
+    iterable of ``SetExposure``) on first read, and cached in the
+    ``__dict__`` that this named tuple subclass keeps. ``rows`` is its
+    source only, not meant to be read: it may be a generator, spent once
+    ``per_netting_set`` has been read, and so is its part of the repr."""
 
     @cached_property
     def per_netting_set(self) -> tuple[SetExposure, ...]:
