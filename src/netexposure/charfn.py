@@ -8,14 +8,14 @@ oracle (``mc``) draws the laws' samples itself.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .laws import (Distribution, Exponential, Gamma, LaplaceSym, MomentError,
-                   NormalSym, UniformSym, _square)
+                   NormalSym, UniformSym)
 
 __all__ = [
     "Pole",
@@ -69,9 +69,9 @@ class CharFn:
     """An evaluable characteristic function plus structural metadata.
 
     Attributes:
-        fn: vectorised evaluator, real t (scalar or ndarray) -> complex.
+        fn: vectorised unit function, real x (scalar or ndarray) -> complex.
         rational: exact factored rational form, when the function is one.
-        gaussian_variance: v such that the function is exp(-v t^2 / 2).
+        gaussian_variance: v such that the function is exp(-v x^2 / 2).
         side: +1 if the underlying variable is supported on (0, inf),
             -1 for (-inf, 0), None otherwise.
         even_real: True when the function is real-valued and even
@@ -79,8 +79,10 @@ class CharFn:
         mean: first moment of the underlying variable, when known exactly.
         dist: catalog law this function came from, if any.
         hilbert_closed_form: known closed form of the transform
-            H{f}(omega), attached for catalog entries that have one but do
+            H{fn}(x), attached for catalog entries that have one but do
             not fit the rational/Gaussian/one-sided tiers.
+        scale: the law's scale b. The c.f. is fn(b t), and every tag but
+            ``mean`` describes fn: H{f}(omega) = H{fn}(b omega).
     """
 
     fn: Callable = field(repr=False)
@@ -91,111 +93,85 @@ class CharFn:
     mean: float | None = None
     dist: Distribution | None = None
     hilbert_closed_form: Callable | None = field(default=None, repr=False)
+    scale: float = 1.0
 
     def __call__(self, t):
-        return self.fn(t)
+        return self.fn(_dilate(self.scale, t))
 
 
-def _of_ct(c: float, dtype, near_zero: Callable, away: Callable, t):
-    """g(c*t) at scalar or array t: ``near_zero`` (a Taylor series) for small
-    c*t, ``away`` elsewhere; MomentError when c*t overflows at a finite t."""
+def _dilate(scale: float, t, name: str = "|t|"):
+    """scale * t at scalar or array t, the only place a scale meets an
+    argument; MomentError where that leaves the float range at a finite t."""
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore"):
-        x = c * t
-    overflow = ~np.isfinite(x)
-    if overflow.any() and np.isfinite(t[overflow]).any():
-        raise MomentError(f"half width {c:g} times t leaves the "
+        x = scale * t
+    if (overflow := np.isinf(x) & np.isfinite(t)).any():
+        raise MomentError(f"scale {scale:g} times {name} = "
+                          f"{np.max(np.abs(t[overflow])):g} leaves the "
                           "floating-point range")
+    return x if x.shape else x[()]
+
+
+def _near_zero(dtype, series: Callable, away: Callable, x):
+    """g(x): ``series`` (its Taylor series) for |x| < 1e-4, else ``away``."""
+    x = np.asarray(x, dtype=float)
     out = np.empty(x.shape, dtype=dtype)
     small = np.abs(x) < 1e-4
-    out[small] = near_zero(x[small])
+    out[small] = series(x[small])
     out[~small] = away(x[~small])
     return out if out.shape else out[()]
 
 
-def _sinc_even(c: float):
-    """Evaluator for sin(ct)/(ct), by its Taylor series near 0."""
-    return partial(_of_ct, c, complex, lambda x: 1.0 - x * x / 6.0,
-                   lambda x: np.sin(x) / x)
+# sin(x)/x, and its transform (1 - cos x) / x, odd in x
+_sinc_even = partial(_near_zero, complex, lambda x: 1.0 - x * x / 6.0,
+                     lambda x: np.sin(x) / x)
+_sinc_hilbert = partial(_near_zero, float, lambda x: 0.5 * x - x**3 / 24.0,
+                        lambda x: (1.0 - np.cos(x)) / x)
+# the Laplace unit function 1/((x - i)(x + i)), which is 1/(1 + x*x) to the bit
+_LAPLACE = RationalForm(constant=1.0, poles=(Pole(1j, 1), Pole(-1j, 1)))
 
 
-def _sinc_hilbert(c: float):
-    """Closed form H{sin(ct)/(ct)}(w) = (1 - cos(cw)) / (cw), odd in w."""
-    return partial(_of_ct, c, float, lambda x: 0.5 * x - x**3 / 24.0,
-                   lambda x: (1.0 - np.cos(x)) / x)
+def _normal(x):
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 far out
+        return np.exp(-0.5 * x * x).astype(complex)
 
 
-def _gamma_cf(shape: float, scale: float, dist: Distribution) -> CharFn:
-    """(1 - i*beta*t)^(-alpha); rational with an exact pole list when the
+def _gamma_cf(shape: float, dist: Distribution) -> CharFn:
+    """(1 - i x)^(-alpha); rational with an exact pole list when the
     shape is an integer, branch-cut one-sided function otherwise."""
-    b = scale
 
-    def fn(t):  # the power underflows to 0 where |b t|^alpha overflows
-        return np.exp(-shape * np.log1p(-1j * b * np.asarray(t, complex)))
+    def fn(x):  # the power underflows to 0 where |x|^alpha overflows
+        return np.exp(-shape * np.log1p(-1j * np.asarray(x, complex)))
 
-    rational = None
-    if float(shape).is_integer():
-        order = int(round(shape))
-        # 1 - i b t = -i b (t + i/b), so the constant is (i/b)^alpha; its
-        # size may overflow to inf, which the residue sum reports
-        with np.errstate(over="ignore"):
-            size = float(np.float64(1.0 / b) ** order)
-        rational = RationalForm(constant=1j ** (order % 4) * size,
-                                poles=(Pole(-1j / b, order),))
-    return CharFn(
-        fn=fn,
-        rational=rational,
-        side=+1,
-        mean=shape * scale,
-        dist=dist,
-    )
+    # 1 - i x = -i (x + i), so an integer shape has the constant i^alpha
+    rational = (RationalForm(1j ** (int(shape) % 4), (Pole(-1j, int(shape)),))
+                if float(shape).is_integer() else None)
+    return CharFn(fn=fn, rational=rational, side=+1, mean=dist.abs_mean,
+                  dist=dist, scale=dist.scale)
 
 
 def charfn_of(spec: Distribution) -> CharFn:
-    """Characteristic function of a catalog law, with structure tags.
+    """Characteristic function of a catalog law, with structure tags of
+    its unit function and the law's scale.
 
-    Laplace gives a rational function with the exact pole pair +-i/b;
-    the normal law is tagged by its variance (its transform is Dawson's
+    Laplace gives a rational function with the exact pole pair +-i;
+    the normal law is tagged by its variance 1 (its transform is Dawson's
     closed form); gamma laws are one-sided (rational when the shape
     is an integer); the symmetric uniform is even-real with a known
     closed-form transform of its sinc shape.
     """
     if isinstance(spec, LaplaceSym):
-        b = spec.scale
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 / (1.0 + (b * t) ** 2)).astype(complex)
-
-        rational = RationalForm(
-            constant=1.0 / _square(spec, b),
-            poles=(Pole(1j / b, 1), Pole(-1j / b, 1)),
-        )
-        return CharFn(fn=fn, rational=rational, even_real=True, mean=0.0,
-                      dist=spec)
+        return CharFn(fn=_LAPLACE, rational=_LAPLACE, even_real=True,
+                      mean=0.0, dist=spec, scale=spec.scale)
     if isinstance(spec, NormalSym):
-        v = _square(spec, spec.sigma)
-
-        def fn(t):
-            t = np.asarray(t, dtype=float)
-            with np.errstate(over="ignore"):  # exp(-inf) = 0 far out
-                return np.exp(-0.5 * v * t * t).astype(complex)
-
-        return CharFn(fn=fn, gaussian_variance=v, even_real=True, mean=0.0,
-                      dist=spec)
+        return CharFn(fn=_normal, gaussian_variance=1.0, even_real=True,
+                      mean=0.0, dist=spec, scale=spec.sigma)
     if isinstance(spec, UniformSym):
-        c = spec.half_width
-        return CharFn(
-            fn=_sinc_even(c),
-            even_real=True,
-            mean=0.0,
-            dist=spec,
-            hilbert_closed_form=_sinc_hilbert(c),
-        )
-    if isinstance(spec, Gamma):
-        return _gamma_cf(spec.shape, spec.scale, spec)
-    if isinstance(spec, Exponential):
-        return _gamma_cf(1.0, spec.scale, spec)
+        return CharFn(fn=_sinc_even, even_real=True, mean=0.0, dist=spec,
+                      hilbert_closed_form=_sinc_hilbert,
+                      scale=spec.half_width)
+    if isinstance(spec, (Gamma, Exponential)):  # exponential: shape 1
+        return _gamma_cf(getattr(spec, "shape", 1.0), spec)
     raise TypeError(f"unknown distribution spec: {spec!r}")
 
 
@@ -224,9 +200,25 @@ def _merge_rational(forms: Sequence[RationalForm]) -> RationalForm:
                         poles=tuple(Pole(p, m) for p, m in poles.items()))
 
 
+def _rescaled(f: CharFn, r: float) -> CharFn:
+    """f as a factor at scale f.scale / r: its unit function dilated by r,
+    and r folded into its tags once (poles p/r, constant c r^-m for the
+    total order m, variance v r^2)."""
+    form, v = f.rational, f.gaussian_variance
+    if form is not None:
+        m = sum(p.order for p in form.poles)
+        with np.errstate(over="ignore"):  # the residue sum reports it
+            c = complex(form.constant * np.float64(r) ** -m)
+        form = RationalForm(c, tuple(Pole(p.location / r, p.order)
+                                     for p in form.poles))
+    return replace(f, fn=replace(f, scale=r), rational=form,
+                   gaussian_variance=None if v is None else v * r * r)
+
+
 def cf_product(factors: Iterable[CharFn]) -> CharFn:
     """Pointwise product, the c.f. of a sum of independent variables.
 
+    It keeps the first factor's scale (another scale is ``_rescaled``).
     Structure tags combine: rational forms merge pole multisets and
     multiply constants, Gaussian variances add, even-real parity and
     one-sidedness survive only if shared by every factor, and known means
@@ -239,6 +231,8 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         return _CONST_ONE
     if len(fs) == 1:
         return fs[0]
+    b = fs[0].scale
+    fs = [f if f.scale == b else _rescaled(f, f.scale / b) for f in fs]
 
     # a repeated factor is evaluated once per call; the product keeps
     # the original order, so the result is the same to the last bit
@@ -272,6 +266,7 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
         side=side,
         even_real=all(f.even_real for f in fs),
         mean=mean,
+        scale=b,
     )
 
 
@@ -306,7 +301,7 @@ def cf_mean(f: CharFn) -> float:
         return 0.0
     if f.mean is not None:
         return f.mean
-    deriv = _richardson_central(f.fn, _FD_STEPS)
+    deriv = _richardson_central(f, _FD_STEPS)
     value = deriv / 1j
     if abs(value.imag) > _IMAG_RESIDUE_TOL:
         raise MomentError(

@@ -183,10 +183,9 @@ def exposure_cf(f: "CharFn", tol: float = DEFAULT_TOL) -> "CharFn":
     from .transforms import _hilbert_fn
     transform = _hilbert_fn(f, tol)
     h0 = 0j if f.even_real else complex(transform(0.0))
-    inner = f.fn
 
     def fn(t):
-        return 0.5 * (1.0 + inner(t)) + 0.5j * (transform(t) - h0)
+        return 0.5 * (1.0 + f(t)) + 0.5j * (transform(t) - h0)
 
     return CharFn(fn=fn)
 

@@ -59,9 +59,8 @@ class Distribution:
 
 
 def _square(spec: "Distribution", x: float) -> float:
-    """x**2 for a scale parameter of ``spec``. The c.f.'s structure (the
-    normal variance, the Laplace poles and constant) needs it to be a
-    positive normal float."""
+    """x**2 for a scale parameter of ``spec``: a normal market's variance,
+    which its closed forms need as a positive normal float."""
     sq = x * x
     if not 2.0 ** -1022 <= sq < math.inf:
         raise MomentError(f"the variance of {spec!r} is outside the "

@@ -39,6 +39,7 @@ from .charfn import (
     LaplaceSym,
     Pole,
     RationalForm,
+    _dilate,
     cf_mean,
     charfn_of,
 )
@@ -211,25 +212,25 @@ def _upper_residue(form: RationalForm, pole: Pole, omega: float) -> complex:
 
 
 def hilbert_rational(f: CharFn, omega: float) -> complex:
-    """Residue-calculus transform of a factored rational function.
+    """Residue-calculus transform of a factored rational function: its
+    unit form's at scale * omega.
 
     Requires at least one pole, so that the function vanishes at infinity,
     and every pole off the real axis. ToleranceError when the residues
-    leave the normal floating-point range (poles and constants of an
-    extreme scale raised to a high power).
+    leave the normal floating-point range (|omega| near the float limit).
     """
     if reason := _unfit(f, "residue"):
         raise ValueError(reason)
-    form, total = f.rational, 0j
+    form, total, w = f.rational, 0j, _dilate(f.scale, omega, "|omega|")
     try:
         for p in form.poles:
             if p.location.imag > 0:
-                total += 2j * _upper_residue(form, p, omega)
-        # simple real pole at omega contributes i * Res = -i * f(omega),
+                total += 2j * _upper_residue(form, p, w)
+        # simple real pole at w contributes i * Res = -i * f(w),
         # imaginary for a real f, whose transform is real
         if not f.even_real:
             with np.errstate(all="ignore"):
-                total += -1j * complex(form(omega))
+                total += -1j * complex(form(w))
     except (ZeroDivisionError, OverflowError):
         total = complex("nan")
     if not np.isfinite(total):
@@ -247,7 +248,8 @@ def hilbert_one_sided(f: CharFn, omega: float) -> complex:
     -i*f(w) for positive support, +i*f(w) for negative support."""
     if reason := _unfit(f, "onesided"):
         raise ValueError(reason)
-    return (-1j if f.side == +1 else 1j) * complex(f.fn(omega))
+    w = _dilate(f.scale, omega, "|omega|")
+    return (-1j if f.side == +1 else 1j) * complex(f.fn(w))
 
 
 def _conjugate_cf(f: CharFn) -> CharFn:
@@ -280,15 +282,14 @@ def pos_abs_cf(base: CharFn) -> CharFn:
         return replace(charfn_of(Exponential(base.dist.scale)),
                        dist=base.dist)
 
-    inner = base.fn
-    transform = _hilbert_fn(base)
+    transform = _hilbert_fn(replace(base, scale=1.0))
 
-    def fn(t):
-        return inner(t) + 1j * np.real(transform(t))
+    def fn(x):
+        return base.fn(x) + 1j * np.real(transform(x))
 
     mean = (base.dist.abs_mean if base.dist is not None
             else hilbert_deriv_at_zero(base))
-    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist)
+    return CharFn(fn=fn, side=+1, mean=mean, dist=base.dist, scale=base.scale)
 
 
 def neg_abs_cf(base: CharFn) -> CharFn:
@@ -350,8 +351,8 @@ def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
     bisecting the worst quarter each round.
 
     ToleranceError once _PV_MAX_PANELS panels are spent, or as soon as
-    tol/2 is below the rounding floor of the integral's magnitude (a law
-    whose scale dwarfs the absolute tol), which no refinement can reach.
+    tol/2 is below the rounding floor of the integral's magnitude, which
+    no refinement can reach.
     """
     steps = [0.0, 0.5]
     while steps[-1] < T:
@@ -387,8 +388,8 @@ def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
     return scale * vals.sum(), scale * errs.sum()
 
 
-def _pv(fn: Callable, omega: float, tol: float):
-    """Folded principal-value quadrature; returns (value, error estimate).
+def _pv(f: CharFn, omega: float, tol: float):
+    """Folded PV quadrature at w = scale * omega; (value, error estimate).
 
     The singularity is removed analytically by folding: the integrand
     [f(w-u) - f(w+u)]/u extends continuously to u=0 (limit -2 f'(w)), so
@@ -397,16 +398,18 @@ def _pv(fn: Callable, omega: float, tol: float):
     past _PV_TMAX, until the sampled tail is below tol/100: the discarded
     tail is then at most 2*|f(T)|/pi for anything decaying at least like 1/t.
     """
-    T = 64.0 + abs(omega)
+    fn, w = f.fn, _dilate(f.scale, omega, "|omega|")
+    T = 64.0 + abs(w)
     if T > _PV_TMAX:
-        raise TruncationError(f"|omega| = {abs(omega):g} is beyond the "
+        at = "" if f.scale == 1.0 else f"scale {f.scale:g} times "
+        raise TruncationError(f"{at}|omega| = {abs(omega):g} is beyond the "
                               f"truncation limit _PV_TMAX = {_PV_TMAX:g}")
-    T, mag = _truncate(fn, omega, T, lambda T: tol / 100.0)
+    T, mag = _truncate(fn, w, T, lambda T: tol / 100.0)
 
     def g(u):
-        return (fn(omega - u) - fn(omega + u)) / u
+        return (fn(w - u) - fn(w + u)) / u
 
-    value, error = _adaptive(g, T, tol, 1.0 / math.pi, abs(omega))
+    value, error = _adaptive(g, T, tol, 1.0 / math.pi, abs(w))
     return value, error + 2.0 * mag / math.pi
 
 
@@ -418,8 +421,12 @@ def _abs_mean(fn: Callable, tol: float):
     special treatment there. Past the truncation point T the constant
     part integrates to 2/(pi T) exactly, and the rest is bounded by
     (2/pi) * max|phi| / T, with T grown until that bound is below
-    tol/100.
+    tol/100. A tol below the rounding floor stops before any truncation.
     """
+    if tol < _ROUNDING_FLOOR:
+        raise ToleranceError(f"E|Y| quadrature: tol {tol:.3e} is below the "
+                             f"rounding floor {_ROUNDING_FLOOR:.3e} per unit "
+                             "of the law's scale", _ROUNDING_FLOOR)
     T, mag = _truncate(fn, 0.0, 64.0, lambda T: math.pi * tol * T / 200.0)
 
     def g(t):
@@ -529,28 +536,25 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
         return HilbertResult(0j, method, 0.0)
     if method == "residue":
         return HilbertResult(hilbert_rational(f, omega), "residue", 0.0)
-    if method == "dawson":
-        return HilbertResult(
-            complex(hilbert_gaussian(f.gaussian_variance, omega)),
-            "dawson", 0.0)
     if method == "onesided":
         return HilbertResult(hilbert_one_sided(f, omega), "onesided", 0.0)
-    if method == "closed-form":
-        return HilbertResult(complex(f.hilbert_closed_form(omega)),
-                             "closed-form", 0.0)
-    value, err = _pv(f.fn, omega, tol)
-    return HilbertResult(complex(value), "pv", float(err))
+    if method == "pv":
+        value, err = _pv(f, omega, tol)
+        return HilbertResult(complex(value), "pv", float(err))
+    return HilbertResult(complex(_hilbert_fn(f, tol, method)(omega)), method,
+                         0.0)
 
 
-def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL) -> Callable:
-    """H{f} at a scalar or an array of points, by ``_route``: the attached
-    closed form and Dawson's take arrays, the other routes go point by
-    point through ``hilbert_eval``."""
-    route = _route(f)
-    if route == "closed-form":
-        return f.hilbert_closed_form
-    if route == "dawson":
-        return partial(hilbert_gaussian, f.gaussian_variance)
+def _hilbert_fn(f: CharFn, tol: float = DEFAULT_TOL, route: str = ""):
+    """H{f} at a scalar or an array of points, by ``route`` or else
+    ``_route``: the attached closed form and Dawson's take arrays, the
+    unit function's at scale * omega; the other routes go point by point
+    through ``hilbert_eval``."""
+    route = route or _route(f)
+    if route in ("closed-form", "dawson"):
+        unit = (f.hilbert_closed_form if route == "closed-form"
+                else partial(hilbert_gaussian, f.gaussian_variance))
+        return lambda w: unit(_dilate(f.scale, w, "|omega|"))
     return np.vectorize(lambda w: hilbert_eval(f, float(w), tol).value,
                         otypes=[complex])
 
@@ -563,13 +567,16 @@ def hilbert_deriv_at_zero(f: CharFn, tol: float = DEFAULT_TOL) -> float:
     """d/dw H{f}(w) at w = 0, which is E|Y| for the variable Y with c.f. f
     (E(max[Y; 0]) = 1/2 E(Y) + 1/2 dH(0) and max[Y; 0] = 1/2 (Y + |Y|)).
 
-    sqrt(2v/pi) for Gaussian variance v, |mean| for one-sided functions,
-    one adaptive quadrature (_abs_mean, whose error estimate it drops)
-    for everything else.
+    sqrt(2 v b^2 / pi) for Gaussian variance v at scale b (b^2 normal),
+    |mean| for one-sided functions, else b times the unit slope: sqrt(2v/pi)
+    or _abs_mean of the unit function at tol/b (its error estimate dropped).
     """
-    if f.gaussian_variance is not None:
-        return math.sqrt(2.0 * f.gaussian_variance / math.pi)
+    b, v = f.scale, f.gaussian_variance
+    if v is not None and sys.float_info.min <= b * b < math.inf:
+        return math.sqrt(2.0 * (v * (b * b)) / math.pi)
     if f.side in (+1, -1):
         return float(abs(cf_mean(f)))
-    return float(_abs_mean(f.fn, tol)[0])
+    unit = (math.sqrt(2.0 * v / math.pi) if v is not None
+            else _abs_mean(f.fn, tol / b)[0])
+    return float(_dilate(b, unit))
 

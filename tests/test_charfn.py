@@ -1,6 +1,7 @@
 """Catalog characteristic functions, their algebra, and sampling."""
 
 import math
+import re
 import zlib
 
 import numpy as np
@@ -88,9 +89,13 @@ def test_structure_tags():
 
 
 def test_laplace_pole_locations():
-    form = charfn_of(LaplaceSym(2.0)).rational
-    locations = sorted(p.location.imag for p in form.poles)
-    assert locations == pytest.approx([-0.5, 0.5])
+    # the unit function 1/(1 + x^2) has the poles +-i; the scale b dilates
+    # them to +-i/b in t
+    f = charfn_of(LaplaceSym(2.0))
+    locations = sorted(p.location.imag for p in f.rational.poles)
+    assert locations == [-1.0, 1.0]
+    assert (f.rational.constant, f.scale) == (1.0, 2.0)
+    assert f(0.5) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +176,8 @@ def test_gaussian_variance_adds_exactly():
     k = 4
     f = charfn_of(NormalSym(1.5))
     prod = cf_product([f] * k)
-    assert prod.gaussian_variance == k * 1.5**2
+    # unit variances add; the common scale stays the law's
+    assert (prod.gaussian_variance, prod.scale) == (k, 1.5)
     assert prod(1.0) == pytest.approx(math.exp(-0.5 * k * 1.5**2))
 
 
@@ -513,13 +519,15 @@ def _hexes(values):
 
 @pytest.mark.parametrize("c", [1.0, 3.0, 1e-6, 2.5e5])
 def test_sinc_evaluators_match_their_inline_formulas(c):
-    from netexposure.charfn import _sinc_even, _sinc_hilbert
+    from netexposure.transforms import _hilbert_fn
 
-    # |c*t| on both sides of the 1e-4 cut, at 0 and at both signs
+    # |c*t| on both sides of the 1e-4 cut, at 0 and at both signs; the
+    # unit sinc and its transform, dilated by the half width c
+    f = charfn_of(UniformSym(c))
+    assert f.scale == c
     ts = np.array([0.0, 1e-9, -3e-5, 9.99e-5, 1e-4, -1.0001e-4, 0.5, -2.0,
                    7.0, 1e3]) / c
-    for new, old in ((_sinc_even(c), _old_sinc_even),
-                     (_sinc_hilbert(c), _old_sinc_hilbert)):
+    for new, old in ((f, _old_sinc_even), (_hilbert_fn(f), _old_sinc_hilbert)):
         assert _hexes(new(ts)) == _hexes(old(c, ts))
         for t in ts:
             got, want = new(t), old(c, t)
@@ -530,10 +538,13 @@ def test_sinc_evaluators_match_their_inline_formulas(c):
 
 @pytest.mark.parametrize("c", [1e307, 1.7e308])
 def test_sinc_evaluators_reject_an_overflowing_argument(c):
-    from netexposure.charfn import _sinc_even, _sinc_hilbert
+    from netexposure.transforms import _hilbert_fn
 
-    even, odd = _sinc_even(c), _sinc_hilbert(c)
-    for fn in (even, odd):
-        with pytest.raises(MomentError, match="floating-point range"):
+    even = charfn_of(UniformSym(c))
+    odd = _hilbert_fn(even)
+    for fn, name in ((even, "t"), (odd, "omega")):
+        with pytest.raises(MomentError, match=re.escape(
+                f"scale {c:g} times |{name}| = 64 leaves the floating-point "
+                "range")):
             fn(np.array([0.0, 64.0]))
     assert even(0.0) == 1.0 and odd(0.0) == 0.0  # c * 0 is in range

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import math
 import os
 import re
 import subprocess
@@ -291,8 +292,11 @@ def test_numeric_failure_exits_two(monkeypatch, capsys):
 
 def test_abs_mean_stall_raises_tolerance_error(monkeypatch):
     # E|Y| of an unbalanced normal set by quadrature of its c.f., capped
-    # well below the panels that tol 1e-13 needs (market sets take the
-    # cosine series instead)
+    # well below the panels that tol 5e-14 needs (market sets take the
+    # cosine series instead). The quadrature runs on the unit c.f. at
+    # tol / sigma: at 1e-13 (1.25e-13 per unit of sigma = 0.8) it ends in
+    # 187 panels, and from about 1.1e-13 per unit down the rounding of
+    # 1 - Re phi(t) near t = 0 makes it stall at any panel cap
     import netexposure.transforms as transforms
 
     monkeypatch.setattr(transforms, "_PV_MAX_PANELS", 200)
@@ -304,7 +308,7 @@ def test_abs_mean_stall_raises_tolerance_error(monkeypatch):
                   and s.signs.count(-1)]
     f = netting_set_cf(m, unbalanced[0], parsed.dist)
     with pytest.raises(ToleranceError, match="quadrature stalled"):
-        hilbert_deriv_at_zero(f, 1e-13)
+        hilbert_deriv_at_zero(f, 5e-14)
 
 
 def test_tight_tol_on_a_normal_market_takes_no_quadrature(monkeypatch,
@@ -649,28 +653,60 @@ def test_float_overflow_is_a_numeric_failure(tmp_path, capsys, market,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["--scale", "1e-300"], "the variance of LaplaceSym"),
-    (["--scale", "1e150", "--power", "3"], "residue sum outside"),
-    (["--scale", "1e-150", "--power", "3"], "residue sum outside"),
-])
-def test_float_underflow_is_a_numeric_failure(capsys, argv, message):
-    assert main(["hilbert-eval", "--dist", "laplace", "--omega", "1"]
-                + argv) == 2
-    assert f"numeric failure: {message}" in capsys.readouterr().err
+def hilbert_eval_output(capsys, argv):
+    """The value and error lines hilbert-eval prints for argv, and the
+    value and error estimate they carry."""
+    assert main(["hilbert-eval"] + argv) == 0
+    out = capsys.readouterr().out.split(" = ", 1)[1]
+    value = complex(out.split()[0].replace("i", "j"))
+    return out, value, float(out.split("error estimate: ")[1])
 
 
-@pytest.mark.parametrize("argv", [
-    ["--dist", "uniform", "--half-width", "1e-12", "--method", "pv"],
-    ["--dist", "laplace", "--scale", "1e-13", "--method", "pv"],
+@pytest.mark.parametrize("scale, power", [(1e-300, 1), (1e150, 3),
+                                          (1e-150, 3)])
+def test_extreme_laplace_scales_answer_as_the_unit_law(capsys, scale, power):
+    # the scaled poles and constant would leave the float range here; the
+    # residues of the unit form at scale * omega never form them
+    argv = ["--dist", "laplace", "--power", str(power)]
+    out, value, _ = hilbert_eval_output(
+        capsys, argv + ["--scale", repr(scale), "--omega", "1"])
+    assert out == hilbert_eval_output(capsys, argv + [f"--omega={scale!r}"])[0]
+    assert value != 0
+
+
+@pytest.mark.parametrize("argv, want", [
+    # a c.f. of width 7e-5, between the first panel's nodes when PV ran on
+    # the scaled c.f. (it printed 4.43e-09)
+    (["--power", "200", "--omega", "0.001", "--method", "pv"],
+     0.0400706777258),
+    # the scaled residue constant (1/b^2)^p and leading coefficient (b/2)^p
+    # left the float range, and the residue tier refused
+    (["--power", "100", "--omega", "0.001"], 0.0569236490412),
+    (["--power", "1000", "--omega", "1", "--scale", "0.9"], 0.0198433216177),
+], ids=["pv-narrow", "residue-constant", "residue-leading"])
+def test_laplace_powers_at_wide_and_narrow_scales_answer(capsys, argv, want):
+    scale = ["--scale", "1000"] if "--scale" not in argv else []
+    _, value, error = hilbert_eval_output(
+        capsys, ["--dist", "laplace", *scale, *argv])
+    assert value.imag == 0
+    assert abs(value.real - want) <= error + 1e-12
+
+
+@pytest.mark.parametrize("argv, exact", [
+    (["--dist", "uniform", "--half-width", "1e-12"],
+     lambda w: (1 - math.cos(w)) / w),
+    (["--dist", "laplace", "--scale", "1e-13"], lambda w: w / (1 + w * w)),
 ], ids=["uniform", "laplace-pv"])
-def test_decay_beyond_the_truncation_limit_is_a_numeric_failure(capsys,
-                                                                argv):
-    # catalog c.f.s decay, but these only beyond _PV_TMAX
-    assert main(["hilbert-eval", "--omega", "0.5"] + argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert "numeric failure" in err and "_PV_TMAX = 1e+13" in err
+def test_narrow_laws_answer_by_pv_as_the_unit_law(capsys, argv, exact):
+    # these c.f.s decay only beyond _PV_TMAX, their unit functions well
+    # within it; PV runs on the unit function at scale * omega
+    w = float(argv[-1]) * 0.5
+    out, value, error = hilbert_eval_output(
+        capsys, argv + ["--omega", "0.5", "--method", "pv"])
+    unit = hilbert_eval_output(capsys, argv[:2] + [f"--omega={w!r}",
+                                                   "--method", "pv"])
+    assert out == unit[0]
+    assert abs(value - exact(w)) <= error
 
 
 @pytest.mark.parametrize("dist", ["normal", "laplace", "uniform", "gamma"])
@@ -686,8 +722,8 @@ def test_pv_beyond_the_truncation_limit_names_omega(capsys, dist):
 
 
 def test_auto_takes_the_one_sided_route_for_an_integer_shape_gamma(capsys):
-    # the residue tier also fits, but its constant (1/b)^512 leaves the
-    # float range; the one-sided rule is exact and needs no constant
+    # the residue tier also fits, but the one-sided rule comes first and
+    # is exact (the residue sum has a real part of 3e-14 here)
     assert main(["hilbert-eval", "--dist", "gamma", "--shape", "512",
                  "--scale", "0.25", "--omega", "0"]) == 0
     captured = capsys.readouterr()
@@ -775,8 +811,10 @@ def test_mc_check_beyond_the_float_range_is_a_numeric_failure(
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (["hilbert-eval", "--dist", "laplace", "--scale", "1e-150", "--power",
-      "3", "--omega", "1"], "residue sum outside the floating-point range"),
+    # (i - 1e308)^-1, the leading coefficient of the pole at omega, is
+    # subnormal
+    (["hilbert-eval", "--dist", "laplace", "--scale", "1e300", "--power",
+      "3", "--omega", "1e8"], "residue sum outside the floating-point range"),
     (["mc-check", "--samples", "50", "--convention", "multilateral:1"],
      "the Monte Carlo standard error is inf, so the z-score is undefined"),
 ], ids=["residue", "mc-stderr"])
@@ -904,17 +942,38 @@ def test_usage_errors_exit_one(capsys, argv):
 @pytest.mark.parametrize("power", ["1", "3"])
 def test_hilbert_eval_at_an_overflowing_uniform_width_prints_one_reason(
         capsys, half_width, power):
+    # scale * omega is beyond PV's truncation limit, or beyond the float
+    # range; each refusal names the scale and |omega| that were passed
+    width = float(half_width)
+    for omega, reason in (
+            ("0.7", "is beyond the truncation limit _PV_TMAX = 1e+13"),
+            ("-1e10", "leaves the floating-point range")):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["hilbert-eval", "--dist", "uniform", "--half-width",
+                         half_width, "--power", power, f"--omega={omega}",
+                         "--method", "pv"]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == (f"numeric failure: scale {width:g} times "
+                                f"|omega| = {abs(float(omega)):g} {reason}\n")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("law, method", [
+    ("laplace", "residue"), ("normal", "dawson"), ("uniform", "closed-form"),
+    ("gamma", "onesided"), ("uniform", "pv")])
+def test_an_overflowing_scale_times_omega_names_both_on_every_route(
+        capsys, law, method):
+    flag = {"normal": "--sigma", "uniform": "--half-width"}.get(law, "--scale")
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["hilbert-eval", "--dist", "uniform", "--half-width",
-                     half_width, "--power", power, "--omega", "0.7",
-                     "--method", "pv"]) == 2
+        assert main(["hilbert-eval", "--dist", law, flag, "1e300",
+                     "--omega=-1e10", "--method", method]) == 2
     assert caught == []
-    captured = capsys.readouterr()
-    width = float(half_width)
-    assert captured.err == (f"numeric failure: half width {width:g} times t "
-                            "leaves the floating-point range\n")
-    assert captured.out == ""
+    assert capsys.readouterr() == ("", (
+        "numeric failure: scale 1e+300 times |omega| = 1e+10 leaves the "
+        "floating-point range\n"))
 
 
 # ---------------------------------------------------------------------------

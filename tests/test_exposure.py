@@ -128,7 +128,8 @@ def test_structure_tags_propagate():
     assert orders == {-1.0: 2, 1.0: 1}
     g = netting_set_cf(hub_market(0, 0, 3),
                        hub_set(hub_market(0, 0, 3)), NormalSym(2.0))
-    assert g.gaussian_variance == pytest.approx(12.0)
+    # three unit variances at the law's scale: sigma^2 * 3 = 12
+    assert (g.gaussian_variance, g.scale) == (3.0, 2.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from exact_hilbert import exact_value
 from netexposure.laws import LAWS
 from netexposure.cli import main
 from netexposure.io import ParseError, _parse_link, parse_market_data
@@ -348,7 +349,8 @@ def _finite_result_or_one_reason(argv):
 
 
 @pytest.mark.parametrize("args", [
-    # the rational constant (4i)^512 leaves the float range
+    # the scaled constant (4i)^512 left the float range before the residue
+    # tier took the unit constant i^512
     ["--shape", "512", "--scale", "0.25", "--omega", "0"],
     # (1 - 65536i)^-64 lies below the float range: 0, not nan
     ["--shape", "64", "--scale", "256", "--method", "onesided",
@@ -359,9 +361,9 @@ def test_extreme_gamma_laws_print_a_result_or_one_reason(args):
 
 
 def test_gamma_shape_scale_edges_print_a_result_or_one_reason():
-    # a non-integer shape, and integer shapes up to a rational constant
-    # b^-shape far outside the float range on either side of unit scale;
-    # at power 2 the product multiplies two such constants
+    # a non-integer shape, and integer shapes whose scaled rational
+    # constant b^-shape would lie far outside the float range on either
+    # side of unit scale; at power 2 the product multiplies two of them
     for shape, scale, omega, method, power in itertools.product(
             ("0.5", "3", "64", "512"), ("1e-3", "0.25", "256", "1e3"),
             ("0", "256"), ("auto", "onesided"), ("1", "2")):
@@ -369,3 +371,54 @@ def test_gamma_shape_scale_edges_print_a_result_or_one_reason():
             "hilbert-eval", "--dist", "gamma", "--shape", shape,
             "--scale", scale, f"--omega={omega}", "--method", method,
             "--power", power])
+
+
+EDGE_LAWS = {"laplace": ["--scale"], "normal": ["--sigma"],
+             "uniform": ["--half-width"], "gamma": ["--shape", "3", "--scale"],
+             "exponential": ["--scale"]}
+
+
+def _run(argv):
+    """(exit code, stdout lines, stderr lines) of an in-process main;
+    any warning is an error here, and a traceback fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue().splitlines(), err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("law", EDGE_LAWS)
+def test_edge_grid_answers_as_the_unit_law_at_scale_times_omega(law):
+    # by the dilation rule H{phi(b .)}(w) = H{phi}(b w), the law at scale b
+    # prints what the unit law prints at b * omega (the same float in both
+    # runs), or it refuses in one line; Laplace and normal laws always
+    # answer, and the rational laws at powers 1 and 3 match the exact
+    # oracle (higher powers at these non-dyadic scales take it minutes)
+    for scale, power, side, omega in itertools.product(
+            ("1e-300", "1e-3", "1", "1e3", "1e300"), (1, 3, 100, 1000),
+            ([], ["--side", "pos"], ["--side", "neg"]),
+            ("-1e3", "-1", "-1e-3", "1e-3", "1", "1e3")):
+        head = ["hilbert-eval", "--dist", law, *EDGE_LAWS[law]]
+        tail = ["--power", str(power), *side]
+        argv = head + [scale, f"--omega={omega}", *tail]
+        code, out, err = _run(argv)
+        assert (code, len(out), len(err)) in ((0, 3, 0), (2, 0, 1)), argv
+        w = float(scale) * float(omega)
+        if scale != "1":
+            unit = _run(head + ["1", f"--omega={w!r}", *tail])
+            assert unit[0] == code, (argv, err)
+            if code == 0:
+                assert unit[1][1:] == out[1:], argv
+                assert unit[1][0].split(" = ")[1] == out[0].split(" = ")[1]
+        if law in ("laplace", "normal"):
+            assert code == 0, (argv, err)
+        if code == 0 and law not in ("normal", "uniform") and power < 100:
+            value = complex(out[0].split(" = ")[1].replace("i", "j"))
+            error = float(out[2].split(": ")[1])
+            exact = exact_value(
+                "laplace" if law == "laplace" else "gamma", float(scale),
+                float(omega), power=power, shape=3 if law == "gamma" else 1,
+                side=side[1] if side else None)
+            assert abs(value - exact) <= error + 1e-11 * abs(exact), argv

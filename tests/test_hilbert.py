@@ -27,6 +27,7 @@ from netexposure import (
     neg_abs_cf,
     pos_abs_cf,
 )
+from exact_hilbert import exact_value
 from netexposure.charfn import CharFn, Pole, RationalForm
 from netexposure.transforms import (
     _XD_BOUND,
@@ -484,24 +485,71 @@ def log_uniform(lo, hi):
 
 omegas = st.builds(lambda sign, w: sign * w, st.sampled_from([-1, 1]),
                    log_uniform(1e-3, 1e3))
-# where the constant (1/b^2)^p and the leading coefficient (b/2)^p of the
-# pole at i/b are both normal floats, the residue tier answers; outside it
-# refuses (CHANGES.md)
-NORMAL_LOG10 = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
 
 
 @settings(max_examples=60, deadline=None)
 @given(log_uniform(1, 1000).map(round), log_uniform(1e-3, 1.5), omegas)
 @example(50, 1e-3, 1e3)  # small terms of the old expansion underflowed
 @example(1000, 1.0, 1.0)  # its binomial coefficients overflowed
+# scaled poles and constants left the normal range here, and the tier
+# refused (CHANGES.md)
+@example(52, 1e-3, 1.0)
+@example(1000, 0.9, 1.0)
 def test_residue_matches_pv_on_laplace_powers(power, scale, omega):
+    # the residues are those of the unit form at scale * omega, to the bit
     f = cf_product([charfn_of(LaplaceSym(scale))] * power)
-    lo, hi = NORMAL_LOG10
-    if all(lo < power * math.log10(x) < hi for x in (scale ** -2, scale / 2)):
-        assert_residue_matches_pv(f, omega)
-    else:
-        with pytest.raises(ToleranceError, match="floating-point range"):
-            hilbert_eval(f, omega, method="residue")
+    assert_residue_matches_pv(f, omega)
+    unit = cf_product([charfn_of(LaplaceSym(1.0))] * power)
+    assert (hilbert_eval(f, omega, method="residue").value
+            == hilbert_eval(unit, scale * omega, method="residue").value)
+
+
+# dyadic scales in [2^-10, 2^10] and omegas in +-[2^-10, 2^10]: exact in
+# binary, and so is their product (at most 40 significant bits)
+dyadics = st.integers(1, 2 ** 20).map(lambda n: n / 2 ** 10)
+
+
+@st.composite
+def exact_laws(draw):
+    """(c.f., oracle arguments) of a Laplace power, with or without a
+    side, or an integer-shape gamma power, at one dyadic scale."""
+    scale = draw(dyadics)
+    side = draw(st.sampled_from([None, "pos", "neg"]))
+    if draw(st.booleans()):
+        power = draw(st.integers(1, 20))
+        base = charfn_of(LaplaceSym(scale))
+        kwargs = {"law": "laplace", "power": power, "side": side}
+    else:  # shape 1 is the exponential law; a gamma law's |X| is itself
+        shape, power = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        base = charfn_of(Gamma(float(shape), scale) if shape > 1
+                         else Exponential(scale))
+        kwargs = {"law": "gamma", "power": power, "shape": shape,
+                  "side": side}
+    side_cf = {None: lambda f: f, "pos": pos_abs_cf, "neg": neg_abs_cf}[side]
+    return cf_product([side_cf(base)] * power), {"scale": scale, **kwargs}
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact_laws(), st.sampled_from([-1, 1]), dyadics)
+@example((cf_product([charfn_of(LaplaceSym(1000.0))] * 20),
+          {"scale": 1000.0, "law": "laplace", "power": 20, "side": None}),
+         1, 2.0 ** -10)
+def test_exact_routes_match_the_rational_oracle(law, sign, omega):
+    # the oracle takes its residues from the law's parameters in rational
+    # arithmetic; residue and one-sided values are within 1e-13 relative
+    # and report error 0, PV within its estimate and the rounding floor
+    f, oracle = law
+    omega *= sign
+    exact = exact_value(omega=omega, **oracle)
+    for method in ("residue", "onesided"):
+        if method == "onesided" and f.side is None:
+            continue
+        result = hilbert_eval(f, omega, method=method)
+        assert abs(result.value - exact) <= 1e-13 * abs(exact), method
+        assert result.error == 0.0
+    pv = hilbert_eval(f, omega, method="pv")
+    floor = 64 * sys.float_info.epsilon * max(1.0, abs(exact))
+    assert abs(pv.value - exact) <= pv.error + floor
 
 
 @settings(max_examples=40, deadline=None)
@@ -539,10 +587,12 @@ def test_deriv_at_zero_rational_values():
 
 
 def test_deriv_at_zero_gaussian_market_value():
-    for n, sigma in ((4, 1.0), (10, 0.5)):
+    # sigma^2 leaves the normal float range at the last two: the slope is
+    # sigma times the unit slope there, not 0 or inf
+    for n, sigma in ((4, 1.0), (10, 0.5), (4, 1e-170), (4, 1e300)):
         f = cf_product([charfn_of(NormalSym(sigma))] * (n - 1))
         want = sigma * math.sqrt(2 * (n - 1) / math.pi)
-        assert hilbert_deriv_at_zero(f) == pytest.approx(want, abs=1e-12)
+        assert hilbert_deriv_at_zero(f) == pytest.approx(want, rel=1e-14)
 
 
 def test_deriv_at_zero_one_sided():
@@ -687,4 +737,4 @@ def test_negative_one_sided_transform_is_plus_i_f():
     assert f.side == -1
     assert neg_abs_cf(f) is f
     for w in OMEGA_GRID:
-        assert hilbert_one_sided(f, w) == 1j * complex(f.fn(w))
+        assert hilbert_one_sided(f, w) == 1j * complex(f(w))
