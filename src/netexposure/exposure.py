@@ -39,12 +39,12 @@ from .market import (
     Market,
     Multilateral,
     NettingSet,
-    SIGN_SYMMETRIC,
     _items,
     _kind,
     _mirrored,
     _partition,
-    netting_sets,
+    _signature,
+    netting_sets,  # not called here: the binding bench/spans.py wraps
     require_valid,
 )
 
@@ -98,10 +98,6 @@ class ExposureReport(namedtuple("ExposureReport", (
     @cached_property
     def per_netting_set(self) -> tuple[SetExposure, ...]:
         return tuple(self.rows)
-
-
-def _signature(signs: tuple[int, ...]) -> tuple[int, int, int]:
-    return signs.count(+1), signs.count(-1), signs.count(SIGN_SYMMETRIC)
 
 
 def exact_exposure(dist: Distribution, plus: int, minus: int,
@@ -286,17 +282,8 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
     once, by ``expected_exposure`` on its first set, and each set adds that
     value in set order, so every float total is the set-by-set sum."""
     require_valid(m)
+    groups = _partition(m, convention)
     custom = isinstance(convention, Custom)
-    if custom:  # validated sets, with their census, keyed by position
-        groups = {v: {j: [*_signature(s.signs), *s.items]
-                      for j, s in enumerate(sets)}
-                  for v, sets in netting_sets(m, convention).items()}
-    else:
-        groups = _partition(m, convention)
-
-    def kind(key):
-        return "custom" if custom else _kind(key, convention)
-
     cache: dict = {}  # one market evaluation: one law, one tolerance
     seen: dict = {}  # signature -> [its first set's SetExposure, set count]
     firsts = {}  # (owner, key) of a signature's first set -> its SetExposure
@@ -313,7 +300,8 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
             if group[0] != group[1] and _mirrored(v, key, group):
                 signature = group[1], group[0], group[2]  # as ``v`` reads it
             if (entry := seen.get(signature)) is None:
-                s = NettingSet(v, _items(v, key, group), kind(key))
+                s = NettingSet(v, _items(v, key, group),
+                               _kind(key, convention))
                 e = firsts[v, key] = expected_exposure(m, s, dist, tol, cache)
                 entry = seen[signature] = [e, 0]
             entry[1] += 1
@@ -333,7 +321,8 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
             for key, group in groups[v].items():
                 if len(group) > 3:
                     yield firsts.get((v, key)) or expected_exposure(
-                        m, NettingSet(v, _items(v, key, group), kind(key)),
+                        m, NettingSet(v, _items(v, key, group),
+                                      _kind(key, convention)),
                         dist, tol, cache)
 
     exact = None

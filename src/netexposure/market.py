@@ -42,6 +42,11 @@ ORIENTATION_CAP = 20
 SIGN_SYMMETRIC = 0  # netting-set item sign for undirected links
 
 
+def _signature(signs) -> tuple[int, int, int]:
+    """(claims, debts, undirected) counts of netting-set item signs."""
+    return signs.count(+1), signs.count(-1), signs.count(SIGN_SYMMETRIC)
+
+
 class MarketError(ValueError):
     """A market or partition failed validation."""
 
@@ -196,29 +201,27 @@ def _require_class(m: Market, cls: int) -> None:
 
 # Degrees and orientations ----------------------------------------------------
 
-def _class_links(m: Market, cls: int) -> list[tuple[int, Link]]:
-    _require_class(m, cls)
-    return [(i, a) for i, a in enumerate(m.links) if a.cls == cls]
+def _degree_census(m: Market, cls: int) -> dict[str, list]:
+    """Each participant's pool under ``Multilateral(cls)``, whose claims
+    and debts are its in and out degrees in that fully directed class."""
+    pools = {v: groups[None]
+             for v, groups in _partition(m, Multilateral(cls)).items()}
+    if any(pool[2] for pool in pools.values()):
+        raise MarketError(
+            f"undirected links have no degree profile (class {cls})")
+    return pools
 
 
 def degree_profile(m: Market, vertex: str, cls: int) -> DegreeProfile:
     """In/out degree of a vertex within one (fully directed) class."""
-    ins = outs = 0
-    for _, a in _class_links(m, cls):
-        if not a.directed:
-            raise MarketError(
-                f"undirected links have no degree profile (class {cls})")
-        if a.target == vertex:
-            ins += 1
-        elif a.source == vertex:
-            outs += 1
+    ins, outs, *_ = _degree_census(m, cls).get(vertex, (0, 0))
     return DegreeProfile(ins, outs)
 
 
 def is_eulerian(m: Market, cls: int) -> bool:
     """True when every vertex balances claims and debts in the class."""
-    return all(degree_profile(m, v, cls).eulerian_degree == 0
-               for v in m.participants)
+    return all(ins == outs
+               for ins, outs, *_ in _degree_census(m, cls).values())
 
 
 def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
@@ -227,14 +230,14 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
     Brute-force enumeration is a test oracle, not a production path, so
     the class size is capped at ORIENTATION_CAP links.
     """
-    indexed = _class_links(m, cls)
-    if any(a.directed for _, a in indexed):
+    _require_class(m, cls)
+    indices = [i for i, a in enumerate(m.links) if a.cls == cls]
+    if any(m.links[i].directed for i in indices):
         raise MarketError(f"class {cls} already contains directed links")
-    if len(indexed) > ORIENTATION_CAP:
+    if len(indices) > ORIENTATION_CAP:
         raise MarketError(
-            f"orientation space too large: {len(indexed)} links "
+            f"orientation space too large: {len(indices)} links "
             f"(cap {ORIENTATION_CAP})")
-    indices = [i for i, _ in indexed]
     for choice in itertools.product((False, True), repeat=len(indices)):
         links = list(m.links)
         for flip, i in zip(choice, indices):
@@ -247,13 +250,43 @@ def enumerate_orientations(m: Market, cls: int) -> Iterator[Market]:
 # Netting partitions ----------------------------------------------------------
 
 def _partition(m: Market, convention: Convention
-               ) -> dict[str, dict[str | None, list]]:
-    """Every vertex's netting groups under a built-in convention, from one
-    pass over the links that takes their signature census as it goes. A
-    group is [claims, debts, undirected, *items], items ascending by link
-    index: the vertex's pooled-class links, first under the key None (an
-    unused pool stays [0, 0, 0]), then per peer, in first-link order, a
-    pair record that both share, written from the smaller name's side."""
+               ) -> dict[str, dict[str | int | None, list]]:
+    """Every vertex's netting groups under a convention, with their
+    signature census. A group is [claims, debts, undirected, *items].
+
+    The built-in conventions take one pass over the links, with items
+    ascending by link index: the vertex's pooled-class links, first under
+    the key None (an unused pool stays [0, 0, 0]), then per peer, in
+    first-link order, a pair record that both share, written from the
+    smaller name's side. A custom partition is validated (see
+    ``netting_sets``) and keyed by block position, its items in block
+    order and signed as the bilateral groups sign them."""
+    if isinstance(convention, Custom):
+        incident = {v: dict(item for k, g in groups.items()
+                            for item in _items(v, k, g))
+                    for v, groups in _partition(m, Bilateral()).items()}
+        out = {v: [] for v in m.participants}
+        for owner, block in convention.sets:
+            if owner not in out:
+                raise MarketError(f"unknown participant {owner!r} "
+                                  f"in custom partition")
+            signs = incident[owner]
+            for i in block:
+                if i not in signs:
+                    raise MarketError(f"link {i} in a netting set of "
+                                      f"{owner!r} is not incident to it")
+            out[owner].append([*_signature([signs[i] for i in block]),
+                               *[(i, signs[i]) for i in block]])
+        for v, blocks in out.items():
+            if not all(len(g) > 3 for g in blocks):
+                raise MarketError(f"empty netting set for {v!r}")
+            covered = [i for g in blocks for i, _ in g[3:]]
+            if len(covered) != len(set(covered)):
+                raise MarketError(f"overlapping netting sets for {v!r}")
+            if missing := sorted(incident[v].keys() - set(covered)):
+                raise MarketError(f"netting sets of {v!r} do not cover "
+                                  f"links {missing}")
+        return {v: dict(enumerate(blocks)) for v, blocks in out.items()}
     if isinstance(convention, Multilateral):
         _require_class(m, convention.cls)
     elif not isinstance(convention, Bilateral):
@@ -292,49 +325,24 @@ def _items(owner: str, key, group: list) -> tuple[tuple[int, int], ...]:
     return tuple(group[3:])
 
 
-def _kind(key: str | None, convention: Convention) -> str:
+def _kind(key: str | int | None, convention: Convention) -> str:
     """The kind of the netting set of a ``_partition`` group's key."""
-    return f"multilateral:{convention.cls}" if key is None else \
-        f"bilateral:{key}"
+    if key is None:
+        return f"multilateral:{convention.cls}"
+    return f"bilateral:{key}" if type(key) is str else "custom"
 
 
 def netting_sets(m: Market, convention: Convention
                  ) -> dict[str, list[NettingSet]]:
-    """Netting partition of every participant under a convention.
+    """Netting partition of every participant under a convention: one set
+    per nonempty ``_partition`` group, in its order.
 
-    The multilateral convention pools one class per vertex and keeps the
-    remaining classes bilateral. Custom partitions are validated: blocks
-    must be disjoint, non-empty, incident to their owner, and cover all of
-    the owner's links.
+    Bilateral netting gives one set per counterparty. The multilateral
+    convention pools one class per vertex and keeps the remaining classes
+    bilateral. Custom partitions are validated: blocks must be disjoint,
+    non-empty, incident to their owner, and cover all of the owner's
+    links.
     """
-    if isinstance(convention, Custom):
-        out = {v: [] for v in m.participants}
-        # each owner's incident links and their signs, by link index
-        incident = {v: dict(item for s in sets for item in s.items)
-                    for v, sets in netting_sets(m, Bilateral()).items()}
-        for owner, block in convention.sets:
-            if owner not in out:
-                raise MarketError(f"unknown participant {owner!r} "
-                                  f"in custom partition")
-            signs = incident[owner]
-            for i in block:
-                if i not in signs:
-                    raise MarketError(f"link {i} in a netting set of "
-                                      f"{owner!r} is not incident to it")
-            items = tuple((i, signs[i]) for i in block)
-            out[owner].append(NettingSet(owner=owner, items=items,
-                                         kind="custom"))
-        for v, sets in out.items():
-            if not all(s.items for s in sets):
-                raise MarketError(f"empty netting set for {v!r}")
-            covered = [i for s in sets for i, _ in s.items]
-            if len(covered) != len(set(covered)):
-                raise MarketError(f"overlapping netting sets for {v!r}")
-            if set(covered) != incident[v].keys():
-                missing = sorted(incident[v].keys() - set(covered))
-                raise MarketError(f"netting sets of {v!r} do not cover "
-                                  f"links {missing}")
-        return out
     return {v: [NettingSet(v, _items(v, k, g), _kind(k, convention))
                 for k, g in groups.items() if len(g) > 3]
             for v, groups in _partition(m, convention).items()}
@@ -342,36 +350,32 @@ def netting_sets(m: Market, convention: Convention
 
 # Deterministic risk measures -------------------------------------------------
 
-def _require_weights(m: Market) -> None:
+def _realised(m: Market, convention: Convention
+              ) -> Iterator[tuple[str | None, float]]:
+    """Key and realised net of every netting set under a convention, in
+    participant order, each read by its owner: a claim adds its weight, a
+    debt subtracts it, and an undirected link adds it for its source."""
     require_valid(m)
     for i, a in enumerate(m.links):
         if a.weight is None:
             raise MarketError(f"links[{i}] carries no realised weight")
-
-
-def _pair_positions(m: Market, cleared: int | None = None
-                    ) -> dict[tuple[str, str], float]:
-    """Net realised position per unordered pair outside class ``cleared``,
-    signed towards the key's first (lexicographically smaller) vertex."""
-    pos: dict[tuple[str, str], float] = {}
-    for u, w, cls, directed, weight in m.links:
-        if cls == cleared:
-            continue
-        credit, debit = (w, u) if directed else (u, w)
-        key = (credit, debit) if credit < debit else (debit, credit)
-        signed = weight if key[0] == credit else -weight
-        pos[key] = pos.get(key, 0.0) + signed
-    return pos
+    for v, groups in _partition(m, convention).items():
+        for key, group in groups.items():
+            y = 0.0
+            for i, sign in _items(v, key, group):
+                a = m.links[i]
+                y += (sign or (1 if a.source == v else -1)) * a.weight
+            yield key, y
 
 
 def current_bilateral_risk(m: Market) -> float:
-    """Sum of positive netted pair positions over both perspectives.
+    """Sum over every participant's bilateral netting sets of its positive
+    realised net.
 
     Claims of one side are the liabilities of the other, so each unordered
     pair contributes the absolute value of its net position.
     """
-    _require_weights(m)
-    return float(sum(abs(y) for y in _pair_positions(m).values()))
+    return float(sum(max(y, 0.0) for _, y in _realised(m, Bilateral())))
 
 
 class MultilateralRisk(NamedTuple):
@@ -380,21 +384,18 @@ class MultilateralRisk(NamedTuple):
 
 
 def current_multilateral_risk(m: Market, cls: int) -> MultilateralRisk:
-    """Centrally cleared measure of one class plus the bilateral rest.
+    """Centrally cleared measure of one class plus the bilateral rest,
+    over the netting sets of ``Multilateral(cls)``: the class measure sums
+    |realised net| over the pools, the rest the positive realised nets of
+    the remaining sets.
 
     Every position appears twice in the class measure, once as a claim and
     once as a debt, so it equals twice the summed positive parts.
     """
-    _require_weights(m)
-    _require_class(m, cls)
-    per_vertex = {v: 0.0 for v in m.participants}
-    for u, w, c, directed, weight in m.links:
-        if c != cls:
-            continue
-        credit, debit = (w, u) if directed else (u, w)
-        per_vertex[credit] += weight
-        per_vertex[debit] -= weight
-    class_measure = float(sum(abs(y) for y in per_vertex.values()))
-    rest = float(sum(abs(y) for y in _pair_positions(m, cls).values()))
-    return MultilateralRisk(class_measure=class_measure,
-                            combined=class_measure + rest)
+    class_measure = rest = 0.0
+    for key, y in _realised(m, Multilateral(cls)):
+        if key is None:
+            class_measure += abs(y)
+        else:
+            rest += max(y, 0.0)
+    return MultilateralRisk(class_measure, class_measure + rest)

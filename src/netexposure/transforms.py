@@ -310,6 +310,9 @@ _GL_LO_X, _GL_LO_W = np.polynomial.legendre.leggauss(16)
 _GL_HI_X, _GL_HI_W = np.polynomial.legendre.leggauss(32)
 
 _PV_MAX_PANELS = 300_000
+# E|Y| rounds without a new lowest error estimate that end it (_abs_mean):
+# converging ones go at most 7 such rounds, stalled ones 17 or more
+_STALL_ROUNDS = 12
 # error per unit of integrated magnitude that rounding alone can leave
 _ROUNDING_FLOOR = 64 * _EPS
 _PV_TMAX = 1e13
@@ -344,15 +347,16 @@ def _panel_integrals(g: Callable, lo: np.ndarray, hi: np.ndarray):
     return v_hi, np.abs(v_hi - v_lo)
 
 
-def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
+def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float,
+              patience: float = math.inf):
     """scale * integral of g on [0, T] and its error estimate, refined
     until that is below tol/2: Gauss-Legendre 16/32 pairs (interior nodes
     only) on a mesh graded geometrically away from 0 and from ``peak``,
     bisecting the worst quarter each round.
 
-    ToleranceError once _PV_MAX_PANELS panels are spent, or as soon as
-    tol/2 is below the rounding floor of the integral's magnitude, which
-    no refinement can reach.
+    ToleranceError once _PV_MAX_PANELS panels are spent, past ``patience``
+    rounds without a new lowest error estimate, or once tol/2 is below the
+    rounding floor of the integral's magnitude, which no refinement reaches.
     """
     steps = [0.0, 0.5]
     while steps[-1] < T:
@@ -365,10 +369,12 @@ def _adaptive(g: Callable, T: float, tol: float, scale: float, peak: float):
     vals, errs = _panel_integrals(g, lo, hi)
 
     n_evaluated = lo.size
-    while scale * errs.sum() > 0.5 * tol:
+    best, stale = math.inf, 0
+    while (achieved := scale * errs.sum()) > 0.5 * tol:
+        best, stale = (achieved, 0) if achieved < best else (best, stale + 1)
         floor = _ROUNDING_FLOOR * scale * np.abs(vals).sum()
-        if n_evaluated > _PV_MAX_PANELS or floor > 0.5 * tol:
-            achieved = scale * errs.sum()
+        if (n_evaluated > _PV_MAX_PANELS or stale > patience
+                or floor > 0.5 * tol):
             raise ToleranceError(
                 f"quadrature stalled at estimated error {achieved:.3e} "
                 f"(requested {tol:.3e}, rounding floor {floor:.3e})",
@@ -422,6 +428,9 @@ def _abs_mean(fn: Callable, tol: float):
     part integrates to 2/(pi T) exactly, and the rest is bounded by
     (2/pi) * max|phi| / T, with T grown until that bound is below
     tol/100. A tol below the rounding floor stops before any truncation.
+    Its rounding noise, about eps/t^2, grows as the panel at 0 is bisected
+    (PV's, about eps/u, does not), so a stall ends after _STALL_ROUNDS
+    rounds without a new lowest error estimate.
     """
     if tol < _ROUNDING_FLOOR:
         raise ToleranceError(f"E|Y| quadrature: tol {tol:.3e} is below the "
@@ -432,7 +441,7 @@ def _abs_mean(fn: Callable, tol: float):
     def g(t):
         return (1.0 - fn(t).real) / (t * t)
 
-    value, error = _adaptive(g, T, tol, 2.0 / math.pi, 0.0)
+    value, error = _adaptive(g, T, tol, 2.0 / math.pi, 0.0, _STALL_ROUNDS)
     tail = 2.0 / (math.pi * T)
     return value + tail, error + tail * mag
 

@@ -4,6 +4,7 @@ the principal-value quadrature that cross-checks them all."""
 import dataclasses
 import math
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -361,6 +362,21 @@ def test_pv_tolerance_error_carries_achieved(monkeypatch):
     with pytest.raises(ToleranceError) as exc:
         hb.hilbert_eval(f, 1.0, tol=1e-9, method="pv").value
     assert exc.value.achieved > 0
+
+
+def test_abs_mean_stall_ends_within_a_second():
+    # E|Y| of one claim and two debts of unit normals by quadrature of
+    # (1 - Re phi(t)) / t^2: its rounding noise, about eps / t^2, grows as
+    # the panel at t = 0 is bisected, so below about 1e-13 refinement
+    # makes no progress and must stop early, not after the panel cap;
+    # at 1e-13 the quadrature still converges, to the same bits
+    p = pos_abs_cf(charfn_of(NormalSym(1.0)))
+    f = cf_product([p, neg_abs_cf(p), neg_abs_cf(p)])
+    assert hilbert_deriv_at_zero(f, 1e-13) == 1.044750903044144
+    start = time.perf_counter()
+    with pytest.raises(ToleranceError, match="quadrature stalled"):
+        hilbert_deriv_at_zero(f, 5e-14)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("tol", [1e-7, 1e-10])

@@ -21,6 +21,7 @@ from netexposure import (
     current_multilateral_risk,
     degree_profile,
     enumerate_orientations,
+    exact_exposure,
     expected_exposure,
     expected_market,
     is_eulerian,
@@ -156,6 +157,59 @@ def test_noncyclic_orientation_is_not_eulerian():
 def test_single_arrow_not_eulerian():
     m = Market(("v", "w"), 1, (Link("v", "w", 1, True),))
     assert not is_eulerian(m, 1)
+
+
+@st.composite
+def directed_class_markets(draw):
+    """Classes 1..k fully directed, each random or one directed cycle
+    (balanced); the last participant has no link, and class k + 1 holds
+    one undirected link."""
+    n = draw(st.integers(3, 6))
+    k = draw(st.integers(1, 3))
+    parts = [f"p{i}" for i in range(n)]
+    linked = parts[:-1]
+    links = []
+    for c in range(1, k + 1):
+        if len(linked) > 2 and draw(st.booleans()):
+            cycle = draw(st.permutations(linked))
+            links += [Link(u, w, c, True)
+                      for u, w in zip(cycle, cycle[1:] + cycle[:1])]
+            continue
+        for i, u in enumerate(linked):
+            for w in linked[i + 1:]:
+                if draw(st.booleans()):
+                    src, dst = (u, w) if draw(st.booleans()) else (w, u)
+                    links.append(Link(src, dst, c, True))
+    links.append(Link(parts[0], parts[1], k + 1, False))
+    links = draw(st.permutations(links))
+    return Market(tuple(draw(st.permutations(parts))), k + 1, tuple(links))
+
+
+@settings(max_examples=100, deadline=None)
+@given(directed_class_markets())
+def test_degree_queries_match_a_link_scan(m):
+    assert validate_market(m) == []
+    directed = range(1, m.n_classes)
+    for c in directed:
+        scanned = {v: (sum(a.target == v for a in m.links if a.cls == c),
+                       sum(a.source == v for a in m.links if a.cls == c))
+                   for v in m.participants}
+        assert scanned[f"p{len(m.participants) - 1}"] == (0, 0)
+        for v in m.participants:
+            assert degree_profile(m, v, c) == scanned[v]
+        assert is_eulerian(m, c) == all(i == o for i, o in scanned.values())
+    undirected = m.n_classes
+    message = f"undirected links have no degree profile (class {undirected})"
+    for query in (lambda: degree_profile(m, "p0", undirected),
+                  lambda: is_eulerian(m, undirected)):
+        with pytest.raises(MarketError, match=re.escape(message)):
+            query()
+    for c in (0, m.n_classes + 1):
+        message = f"unknown class {c} (market has {m.n_classes})"
+        for query in (lambda: degree_profile(m, "p0", c),
+                      lambda: is_eulerian(m, c)):
+            with pytest.raises(MarketError, match=re.escape(message)):
+                query()
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +427,33 @@ def test_partitions_match_scan_oracle(m, rng):
     for conv in conventions:
         # equal lists: set order and item order included
         assert netting_sets(m, conv) == scan_netting_sets(m, conv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_markets(), st.randoms(use_true_random=False))
+def test_custom_partition_of_the_bilateral_sets_values_as_bilateral(m, rng):
+    # Laplace values at scale 1 are dyadic, so every float sum is exact
+    # and the shuffled block order cannot move a total
+    law = LaplaceSym(1.0)
+    blocks = [(v, s.link_indices)
+              for v, sets in netting_sets(m, Bilateral()).items()
+              for s in sets]
+    rng.shuffle(blocks)
+    custom = expected_market(m, law, Custom(sets=tuple(blocks)))
+    bilateral = expected_market(m, law, Bilateral())
+    assert custom.convention == "custom"
+    assert custom.per_participant == bilateral.per_participant
+    assert custom.market_total == bilateral.market_total
+    assert custom.market_total_exact == bilateral.market_total_exact
+    assert custom.components == {} and custom.pair_view == {}
+    rows = custom.per_netting_set
+    assert len(rows) == len(blocks)
+    for row in rows:
+        signs = [scan_sign(m.links[i], row.owner) for i in row.links]
+        exact = exact_exposure(law, signs.count(1), signs.count(-1),
+                               signs.count(0))
+        assert (row.kind, row.exact, row.value) == (
+            "custom", exact, float(exact))
 
 
 def definition_partition(m, pool=None):
