@@ -215,8 +215,7 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+def _parser(argv) -> argparse.ArgumentParser:  # the full grammar
     parser = argparse.ArgumentParser(
         prog="netexposure",
         description="Expected counterparty exposure of financial networks "
@@ -236,9 +235,27 @@ def main(argv=None) -> int:
             add_arguments(sub.add_parser(name, help=help_text))
         else:
             sub.add_parser(name, help=help_text, add_help=False)
+    return parser
 
+
+def _parse(argv) -> argparse.Namespace:
+    """A command first: its own parser, built and called as the full
+    grammar's dispatch would, so help and errors are the same bytes.
+    Else, or with tokens left over, the full grammar parses all of argv."""
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"netexposure {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        parser.set_defaults(command=argv[0], tol=DEFAULT_TOL)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return _parser(argv).parse_args(argv)
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:  # argparse exits 2 on a usage error, 0 on help
         if exc.code != 2:
             raise

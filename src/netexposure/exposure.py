@@ -194,7 +194,8 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
     and one-sign sets, else "shortcut" where claims and debts balance (the
     E(Y) term vanishes) and "numeric" otherwise; the error is half the
     bound on E|Y|, and 0 for closed forms. ``cache`` maps signatures to
-    results; share one only between calls with the same law and tol.
+    results (and holds the E|Y| series they share, ``_signature_exposure``);
+    share one only between calls with the same law and tol.
     """
     owner, items, kind = s
     if not items:
@@ -207,17 +208,19 @@ def expected_exposure(m: Market, s: NettingSet, dist: Distribution,
     cache = {} if cache is None else cache
     hit = cache.get(key)
     if hit is None:
-        hit = cache[key] = _signature_exposure(dist, key, tol)
+        hit = cache[key] = _signature_exposure(dist, key, tol, cache)
     return SetExposure(owner, kind, links, *hit)
 
 
 def _signature_exposure(dist: Distribution, signature: tuple[int, int, int],
-                        tol: float
+                        tol: float, cache: dict
                         ) -> tuple[float, str, float, Fraction | None]:
-    """Uncached (value, method, error, exact) of a nonempty set. Routes, in
-    order: the exact value (``exact_exposure``); normal claims only (Y >=
-    0, so E max[Y; 0] = E Y); normal undirected links only (Y ~ N(0, sym
-    sigma^2)); any other normal set by the series; no other law has one."""
+    """(value, method, error, exact) of a nonempty set. Routes, in order:
+    the exact value (``exact_exposure``); normal claims only (Y >= 0, so E
+    max[Y; 0] = E Y); normal undirected links only (Y ~ N(0, sym sigma^2));
+    any other normal set by the series, whose (value, bound) ``cache``
+    keeps for the mirrored signature (b, a, c) too, as it has the same
+    bits; no other law has one."""
     _require_two_sided(dist)
     plus, minus, sym = signature
     exact = exact_exposure(dist, plus, minus, sym)
@@ -232,7 +235,11 @@ def _signature_exposure(dist: Distribution, signature: tuple[int, int, int],
         value = 0.5 * math.sqrt(2.0 * (sym * v) / math.pi)
         return _finite(value), "closed-form", 0.0, None
     from .transforms import _normal_abs_mean
-    abs_y, error = _normal_abs_mean(plus, minus, sym, tol / dist.sigma)
+    series = "E|Y|", min(plus, minus), max(plus, minus), sym
+    if (found := cache.get(series)) is None:
+        found = cache[series] = _normal_abs_mean(plus, minus, sym,
+                                                 tol / dist.sigma)
+    abs_y, error = found
     value = 0.5 * (plus - minus) * dist.abs_mean + 0.5 * (dist.sigma * abs_y)
     method = "shortcut" if plus == minus else "numeric"
     return _finite(max(value, 0.0)), method, 0.5 * (dist.sigma * error), None

@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netexposure import (
     Bilateral,
@@ -32,6 +34,7 @@ from netexposure import (
     serialize_market,
 )
 from netexposure.transforms import ToleranceError
+from netexposure import cli
 from netexposure.cli import main
 from netexposure.io import MarketFile, ParseError, write_market
 from conftest import (
@@ -43,6 +46,7 @@ from conftest import (
     two_tier,
     two_vertex_market,
 )
+from cli_differential import outcomes
 
 
 def market_file(tmp_path, market, convention=None, dist=None,
@@ -736,19 +740,79 @@ def test_auto_takes_the_one_sided_route_for_an_integer_shape_gamma(capsys):
                                      ["analyze"]], ids=["compare", "analyze"])
 def test_a_command_builds_only_its_own_arguments(tmp_path, monkeypatch,
                                                  capsys, command):
-    added = []
+    added, built = [], []
     add_argument = argparse.ArgumentParser.add_argument
+    init = argparse.ArgumentParser.__init__
 
     def recording(self, *args, **kwargs):
         added.extend(args)
         return add_argument(self, *args, **kwargs)
 
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
     monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     path = market_file(tmp_path, triangle_directed(), dist=LaplaceSym(1.0))
     name, *options = command
-    assert main([name, "--market", str(path), *options]) == 0
+    for _ in range(2):  # no parser is kept from one call to the next
+        built.clear()
+        assert main([name, "--market", str(path), *options]) == 0
+        assert built == [f"netexposure {name}"]
     assert "--market" in added
     assert not {"--omega", "--kmax", "--samples", "--scale"} & set(added)
+    # help before the command is the full grammar's: all seven parsers
+    built.clear()
+    with pytest.raises(SystemExit):
+        main(["--help", "analyze"])
+    assert len(built) == len(cli._COMMANDS) + 1
+
+
+# the CLI's vocabulary: commands, a bogus and an abbreviated command,
+# options (abbreviated, ambiguous and unknown ones too) and values
+_COMMAND_WORDS = (*cli._COMMANDS, "frobnicate", "anal")
+_OPTIONS = ("--market", "--convention", "--format", "--class", "--dist",
+            "--scale", "--sigma", "--half-width", "--shape", "--kmax",
+            "--samples", "--seed", "--power", "--omega", "--side", "--method",
+            "--tol", "-h", "--help", "--to", "--he", "--s", "--sa", "--cl",
+            "--om", "--k", "--bogus", "-x")
+_VALUES = ("m.json", "1", "0", "-1", "3", "1e-9", "nan", "inf", "x", "",
+           "json", "table", "yaml", "laplace", "normal", "gamma",
+           "bilateral", "multilateral:1", "pos", "pv", "analyze")
+_TOKENS = st.one_of(
+    st.sampled_from((*_COMMAND_WORDS, "--")), st.sampled_from(_OPTIONS),
+    st.sampled_from(_VALUES),
+    st.builds("{}={}".format, st.sampled_from(_OPTIONS),
+              st.sampled_from(_VALUES)))
+# each command's required arguments, so that some argvs parse
+_REQUIRED = {
+    "analyze": ["--market", "m.json"],
+    "compare-netting": ["--market", "m.json", "--class", "1"],
+    "advantage": ["--market", "m.json", "--class", "1"],
+    "advantage-table": ["--dist", "laplace"],
+    "mc-check": ["--market", "m.json"],
+    "hilbert-eval": ["--dist", "normal", "--omega", "1"],
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    head = draw(st.lists(_TOKENS, max_size=2))
+    command = draw(st.sampled_from(_COMMAND_WORDS))
+    required = _REQUIRED.get(command, []) if draw(st.booleans()) else []
+    return [*head, command, *required, *draw(st.lists(_TOKENS, max_size=5))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(cli_argvs(), st.lists(_TOKENS, max_size=6)))
+@example(argv=[])
+@example(argv=["analyze", "--market", "m.json", "--tol", "1e-9"])
+@example(argv=["--tol", "-1", "hilbert-eval", "--dist", "normal", "--om=1"])
+def test_main_parses_as_the_full_grammar(argv):
+    # exit code, stdout, stderr and the handler's namespace
+    ours, full = outcomes(argv)
+    assert ours == full
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

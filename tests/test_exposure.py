@@ -32,6 +32,7 @@ from netexposure import (
     mc_expected_exposure,
     netting_set_cf,
     netting_sets,
+    parse_market,
 )
 from netexposure.charfn import _richardson_central
 from netexposure.transforms import _abs_mean, hilbert_deriv_at_zero
@@ -44,6 +45,7 @@ from conftest import (
     two_tier,
     two_vertex_market,
 )
+from test_golden import GOLDEN, render
 from test_market import random_custom, shaped_markets
 
 
@@ -763,8 +765,9 @@ def test_exact_exposure_against_mc(dist):
 
 def test_one_derivative_per_distinct_signature(monkeypatch):
     # E|Y| of a normal set that is neither exact nor of one sign comes from
-    # the cosine series, once per distinct signature; no set takes the
-    # slope of a transform
+    # the cosine series, once per distinct signature up to mirroring (a
+    # set's claims and debts swapped); no set takes the slope of a
+    # transform
     import netexposure.exposure as exposure
     import netexposure.transforms as transforms
 
@@ -785,7 +788,8 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
                 for s in netting_sets(m, convention).get(v, [])]
         served = [signature(s) for s, e in zip(sets, report.per_netting_set)
                   if e.method != "closed-form"]
-        assert calls == ["_normal_abs_mean"] * len(set(served))
+        mirrored = {(min(a, b), max(a, b), c) for a, b, c in served}
+        assert calls == ["_normal_abs_mean"] * len(mirrored)
         assert 0 < len(set(served)) < len(served)
         # every Laplace and uniform set is exact: no derivative at all
         for dist in (UniformSym(1.0), LaplaceSym(1.0)):
@@ -794,6 +798,38 @@ def test_one_derivative_per_distinct_signature(monkeypatch):
             assert calls == []
             assert all(e.method == "closed-form" and e.exact is not None
                        for e in report.per_netting_set)
+
+
+def test_mirrored_signatures_share_one_series(monkeypatch):
+    # E|Y| of (a, b, c) has the bits of (b, a, c), so one market
+    # evaluation runs the series once for both; the reports keep their bytes
+    import netexposure.transforms as transforms
+
+    calls = []
+    original = transforms._normal_abs_mean
+
+    def counting(a, b, c, tol):
+        calls.append((a, b, c))
+        return original(a, b, c, tol)
+
+    monkeypatch.setattr(transforms, "_normal_abs_mean", counting)
+    mf = parse_market(GOLDEN / "normal-5.json")
+    for convention, name, series in (
+            (Bilateral(), "bilateral", {(1, 2, 0)}),
+            (Multilateral(1), "multilateral", {(1, 3, 0), (1, 1, 0),
+                                               (2, 2, 0)})):
+        calls.clear()
+        report = expected_market(mf.market, mf.dist, convention)
+        sets = [s for v in mf.market.participants
+                for s in netting_sets(mf.market, convention).get(v, [])]
+        served = {signature(s) for s, e in zip(sets, report.per_netting_set)
+                  if e.method != "closed-form"}
+        assert {(b, a, c) for a, b, c in served} == served  # both ways
+        assert len(calls) == len(series)
+        assert {(min(a, b), max(a, b), c) for a, b, c in calls} == series
+        golden = GOLDEN / f"normal-5.analyze-{name}-json.out"
+        assert render("normal-5", f"analyze-{name}-json") == \
+            golden.read_text(encoding="utf-8")
 
 
 def test_market_evaluations_build_no_characteristic_function(monkeypatch):

@@ -77,6 +77,16 @@ USAGE = {
     "unknown-option": ["analyze", "--bogus"],
     "abbreviated-help": ["--he"],
     "abbreviated-tol": ["--to", "1e-3", "analyze"],
+    # tokens left over after a command's own arguments
+    "tol-after-command": ["analyze", "--market", "m.json", "--tol", "1e-9"],
+    "extra-token": ["compare-netting", "--market", "m.json", "--class", "1",
+                    "extra"],
+    "abbreviated-tol-after-command": ["mc-check", "--market", "m.json",
+                                      "--to", "1e-3"],
+    "extra-after-double-dash": ["advantage-table", "--dist", "laplace", "--",
+                                "--kmax", "3"],
+    "extra-then-help": ["hilbert-eval", "extra", "--help"],
+    "extra-then-usage-error": ["analyze", "extra", "--format", "yaml"],
 }
 
 

@@ -1,18 +1,25 @@
 """Every Python version that pyproject.toml claims (requires-python >=
-3.10) compiles the package and prints the golden bytes.
+3.10) compiles the package, prints the golden bytes and parses as the
+full grammar does.
 
 Each interpreter found on PATH byte-compiles every module of
 ``src/netexposure`` and runs two numpy-free commands on the Laplace
 golden market; versions that are not installed are skipped. Only the
-exact path can run there, as those interpreters may lack numpy.
+exact path can run there, as those interpreters may lack numpy. The CLI
+parses an argv that starts with a command with that command's parser
+alone, as argparse's sub-parser dispatch would; each interpreter checks
+that against the full grammar over the help and usage corpus.
 """
 
+import json
 import os
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
+
+from test_golden import USAGE
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -69,3 +76,19 @@ def test_claimed_version_compiles_and_prints_the_golden_bytes(version,
             capture_output=True, env=env, timeout=120)
         assert (done.returncode, done.stderr) == (0, b""), done.stderr
         assert done.stdout == (GOLDEN / golden).read_bytes()
+
+
+@pytest.mark.parametrize("version", VERSIONS)
+def test_claimed_version_parses_the_usage_corpus_as_the_full_grammar(
+        version):
+    executable = interpreter(version)
+    if executable is None:
+        pytest.skip(f"python{version} is not on PATH")
+    env = {**os.environ, "PYTHONPATH": str(SRC),
+           "PYTHONDONTWRITEBYTECODE": "1"}
+    done = subprocess.run(
+        [executable, str(ROOT / "tests" / "cli_differential.py")],
+        input=json.dumps(list(USAGE.values())), capture_output=True,
+        text=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert json.loads(done.stdout) == []
