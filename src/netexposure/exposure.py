@@ -114,29 +114,34 @@ def exact_exposure(dist: Distribution, plus: int, minus: int,
     """
     if plus == sym == 0:
         return Fraction(0)
+    if not isinstance(dist, (LaplaceSym, UniformSym)):
+        return None
+    b = dist[0]  # b or h as p / q: one Fraction is built, from integers
+    p, q = (b if isinstance(b, float) else Fraction(b)).as_integer_ratio()
     if isinstance(dist, LaplaceSym):
         a, c = plus + sym, minus + sym
         if c == 0:
-            return a * Fraction(dist.scale)
+            return Fraction(a * p, q)
         num = sum(math.comb(c - 1 + j, j) * (a - j) << (a - 1 - j)
                   for j in range(a))
-        return Fraction(num, 1 << (a + c - 1)) * Fraction(dist.scale)
-    if isinstance(dist, UniformSym):
-        n, d = plus + minus + sym, -(minus + sym)
-        num = sum((-1) ** (n - j - k) * math.comb(plus + minus, j)
-                  * math.comb(sym, k) * (d + j + 2 * k) ** (n + 1)
-                  for j in range(plus + minus + 1) for k in range(sym + 1)
-                  if d + j + 2 * k > 0)
-        return (Fraction(num, math.factorial(n + 1) << sym)
-                * Fraction(dist.half_width))
-    return None
+        return Fraction(num * p, q << (a + c - 1))
+    n, d = plus + minus + sym, -(minus + sym)
+    num = sum((-1) ** (n - j - k) * math.comb(plus + minus, j)
+              * math.comb(sym, k) * (d + j + 2 * k) ** (n + 1)
+              for j in range(plus + minus + 1) for k in range(sym + 1)
+              if d + j + 2 * k > 0)
+    return Fraction(num * p, (math.factorial(n + 1) << sym) * q)
 
 
 def _finite(x: Fraction | float) -> float:
     """An exact value or a float sum as a finite float."""
-    if not abs(x) <= sys.float_info.max:
-        raise MomentError("exposure outside the floating-point range")
-    return float(x)
+    try:
+        f = float(x)
+    except OverflowError:  # |x| is at least max + ulp / 2
+        f = math.inf
+    if abs(f) < sys.float_info.max or abs(x) <= sys.float_info.max:
+        return f  # on +-max, x itself is compared: it may be above max
+    raise MomentError("exposure outside the floating-point range")
 
 
 def _require_two_sided(dist: Distribution) -> None:
@@ -287,7 +292,8 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
     """Expected exposure under any convention (custom partitions included),
     from the signature census of its netting sets. Each signature is valued
     once, by ``expected_exposure`` on its first set, and each set adds that
-    value in set order, so every float total is the set-by-set sum."""
+    value in set order, so every float total is the set-by-set sum; the
+    exact one sums integers over the least common denominator."""
     require_valid(m)
     groups = _partition(m, convention)
     custom = isinstance(convention, Custom)
@@ -334,7 +340,9 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
 
     exact = None
     if seen and all(e.exact is not None for e, _ in seen.values()):
-        exact = sum((n * e.exact for e, n in seen.values()), Fraction(0))
+        d = math.lcm(*(e.exact.denominator for e, _ in seen.values()))
+        exact = Fraction(sum(n * e.exact.numerator * (d // e.exact.denominator)
+                             for e, n in seen.values()), d)
     if multilateral:
         components.setdefault(pool_name, 0.0)
         components.setdefault(rest_name, 0.0)

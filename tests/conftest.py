@@ -1,8 +1,17 @@
 """Shared market builders for the test suite."""
 
+import os
+import sys
+
 import pytest
 
-from netexposure import Link, Market
+# Set before anything imports netexposure, and passed on to subprocesses
+# through os.environ: a test run leaves no bytecode in src/, so a program
+# run from the same checkout later does not start from a warm cache.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+from netexposure import Link, Market  # noqa: E402
 
 # argv that argparse refuses: main returns 1 with a usage message
 USAGE_ERRORS = (

@@ -1139,6 +1139,7 @@ def test_module_entry_point_prints_help():
     src = str(Path(netexposure.__file__).parents[1])
     result = subprocess.run([sys.executable, "-m", "netexposure.cli",
                              "--help"], capture_output=True, text=True,
-                            env={"PYTHONPATH": src}, timeout=60)
+                            env={"PYTHONPATH": src,
+                                 "PYTHONDONTWRITEBYTECODE": "1"}, timeout=60)
     assert result.returncode == 0
     assert result.stdout.startswith("usage: netexposure")

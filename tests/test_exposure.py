@@ -1,12 +1,14 @@
 """Netting-set characteristic functions, expected exposures, and
 market-level aggregation."""
 
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netexposure import (
@@ -35,6 +37,8 @@ from netexposure import (
     parse_market,
 )
 from netexposure.charfn import _richardson_central
+from netexposure.exposure import _finite
+from netexposure.laws import MomentError
 from netexposure.transforms import _abs_mean, hilbert_deriv_at_zero
 from conftest import (
     complete_market,
@@ -558,13 +562,17 @@ def test_cached_report_equals_uncached_sets(dist, convention):
             assert report.market_total_exact == sum(exact, Fraction(0))
 
 
+@pytest.mark.parametrize("dist", [LaplaceSym(1.0), LaplaceSym(0.1),
+                                  UniformSym(1 / 3), UniformSym(2.5)],
+                         ids=repr)
 @pytest.mark.parametrize("convention", [Bilateral(), Multilateral(1)],
                          ids=repr)
-def test_exact_total_equals_one_by_one_sum(convention):
-    # the total is summed once per signature; the sets' own exact values
-    # added one at a time must give the same Fraction
+def test_exact_total_equals_one_by_one_sum(convention, dist):
+    # the total is summed once per signature, in integers over the least
+    # common denominator, which non-dyadic scales make unequal; the sets'
+    # own exact values added one at a time must give the same Fraction
     for m in CONFTEST_MARKETS + (complete_market(12, 3),):
-        report = expected_market(m, LaplaceSym(1.0), convention)
+        report = expected_market(m, dist, convention)
         if any(e.exact is None for e in report.per_netting_set):
             assert report.market_total_exact is None
             continue
@@ -750,6 +758,34 @@ def test_exact_exposure_matches_the_transform_routes(sig, law):
         deriv = hilbert_deriv_at_zero(f, 1e-9)
     want = 0.5 * (np_ - nm) * law.abs_mean + 0.5 * deriv
     assert abs(float(exact) - want) <= 1e-9
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+@example(b=0.1)
+@example(b=1 / 3)
+@example(b=5e-324)
+@example(b=1e300)
+@example(b=1.7e308)
+def test_exact_exposure_is_the_unit_value_times_the_scale(b):
+    # the scale's integer ratio enters numerator and denominator directly;
+    # at scale 1.0 that route and a product with Fraction(b) agree trivially
+    for law in (LaplaceSym, UniformSym):
+        for sig in itertools.product(range(13), repeat=3):
+            if sum(sig) <= 12:
+                assert exact_exposure(law(b), *sig) == \
+                    exact_exposure(law(1.0), *sig) * Fraction(b), (law, sig)
+
+
+def test_finite_rejects_exactly_the_values_above_the_float_maximum():
+    top = Fraction(sys.float_info.max)
+    assert _finite(top) == sys.float_info.max
+    assert _finite(-top) == -sys.float_info.max
+    # top + 1 and top + 2**969 round down to the maximum, yet are above it
+    for x in (top + 1, top + 2 ** 969, 2 * top, -(top + 1), math.inf,
+              -math.inf, math.nan):
+        with pytest.raises(MomentError):
+            _finite(x)
 
 
 @pytest.mark.parametrize("dist", [LaplaceSym(1.0), UniformSym(1.0)],
