@@ -215,7 +215,7 @@ _COMMANDS = {
 }
 
 
-def _parser(argv) -> argparse.ArgumentParser:  # the full grammar
+def _parser() -> argparse.ArgumentParser:  # the full grammar
     parser = argparse.ArgumentParser(
         prog="netexposure",
         description="Expected counterparty exposure of financial networks "
@@ -225,16 +225,8 @@ def _parser(argv) -> argparse.ArgumentParser:  # the full grammar
     parser.add_argument("--tol", type=float, default=DEFAULT_TOL,
                         help="absolute tolerance for numeric paths")
     sub = parser.add_subparsers(dest="command", required=True)
-    # Only the command that argv names gets its arguments; the others are
-    # names and help lines, enough for the top-level help and its errors.
-    # That command is the first token that names one: the one option
-    # before it, --tol, takes a float, never a command name.
-    named = next((token for token in argv if token in _COMMANDS), None)
     for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        if name == named:
-            add_arguments(sub.add_parser(name, help=help_text))
-        else:
-            sub.add_parser(name, help=help_text, add_help=False)
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -249,7 +241,7 @@ def _parse(argv) -> argparse.Namespace:
         args, rest = parser.parse_known_args(argv[1:])
         if not rest:
             return args
-    return _parser(argv).parse_args(argv)
+    return _parser().parse_args(argv)
 
 
 def main(argv=None) -> int:

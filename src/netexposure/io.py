@@ -61,8 +61,6 @@ def _need(obj: dict, key: str, kind, where: str, default=MISSING):
     """``obj[key]`` checked against ``kind`` (bools are not numbers); an
     absent or null key gives ``default`` when one is given."""
     value = obj.get(key)
-    if type(value) is kind:
-        return value
     if value is None and default is not MISSING:
         return default
     if key not in obj:

@@ -465,6 +465,8 @@ def _normal_abs_mean(a: int, b: int, c: int, tol: float):
     K put the first two at max(tol/2048, rounding); terms are cheap next
     to Dawson's power series, paid once per call. (b, a, c): same bits.
     """
+    if not tol > 0:  # also nan; inf is clamped to 1
+        raise ValueError(f"tol must be > 0, got {tol}")
     n, m, tol = a + b + c, a + b, min(tol, 1.0)
     # erfc(x) <= exp(-x^2) sets u; the tail bound itself keeps the erfc
     u = math.sqrt(2 * n * math.log(4096 * math.sqrt(2 * math.pi * n) / tol))
@@ -534,8 +536,11 @@ def hilbert_eval(f: CharFn, omega: float, tol: float = DEFAULT_TOL,
     """Transform with method provenance and an error estimate.
 
     ``method`` is one of ROUTES, or "auto" for the first that applies
-    (``_route``); a forced route that does not apply raises ValueError.
+    (``_route``); a forced route that does not apply, or a non-finite
+    omega, raises ValueError.
     """
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega}")
     if method == "auto":
         method = _route(f)
     elif reason := _unfit(f, method):

@@ -3,8 +3,9 @@
 ``outcomes(argv)`` runs ``main`` twice at an 80-column terminal with
 handlers that only record the namespace they receive: once as it is, and
 once with every argv parsed by the full two-level grammar
-(``cli._parser``). Each run gives its exit code, stdout, stderr and that
-namespace. It needs only the standard library and ``netexposure.cli``, so
+(``cli._parser``), which builds all six commands with their arguments and
+skips ``main``'s command-first path, its one optimisation. Each run gives
+its exit code, stdout, stderr and that namespace. It needs only the standard library and ``netexposure.cli``, so
 any interpreter can run it as a script:
 
     PYTHONPATH=src python tests/cli_differential.py < argvs.json
@@ -23,7 +24,7 @@ from netexposure import cli
 
 
 def _full_grammar(argv):
-    return cli._parser(argv).parse_args(argv)
+    return cli._parser().parse_args(argv)
 
 
 def _run(argv, parse=None) -> dict:

@@ -1,6 +1,7 @@
 """Market-file round trips, diagnostics, and the command-line surface."""
 
 import argparse
+import ast
 import json
 import math
 import os
@@ -46,7 +47,7 @@ from conftest import (
     two_tier,
     two_vertex_market,
 )
-from cli_differential import outcomes
+from cli_differential import _run, outcomes
 
 
 def market_file(tmp_path, market, convention=None, dist=None,
@@ -813,6 +814,19 @@ def test_main_parses_as_the_full_grammar(argv):
     # exit code, stdout, stderr and the handler's namespace
     ours, full = outcomes(argv)
     assert ours == full
+
+
+@pytest.mark.parametrize("name", cli._COMMANDS)
+def test_a_top_level_tol_reaches_every_command(name):
+    # the handler gets the namespace of the plain argv, with tol=1e-9
+    first = _run(["--tol", "1e-9", name, *_REQUIRED[name]])
+    plain = _run([name, *_REQUIRED[name]])
+    assert (first["code"], first["stdout"], first["stderr"]) == (0, "", "")
+    assert (plain["code"], plain["stdout"], plain["stderr"]) == (0, "", "")
+    (seen,), (expected,) = (ast.literal_eval(run["namespace"])
+                            for run in (first, plain))
+    assert dict(seen) == {**dict(expected), "tol": 1e-9}
+    assert dict(expected)["tol"] == cli.DEFAULT_TOL != 1e-9
 
 
 def test_closed_stdout_exits_one_without_a_traceback():

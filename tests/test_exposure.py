@@ -917,3 +917,20 @@ def test_empty_set_warns_and_is_worth_exactly_zero():
         e = expected_exposure(path_market(), NettingSet("v", (), "custom"),
                               LaplaceSym(1.0))
     assert (e.value, e.method, e.exact) == (0.0, "closed-form", Fraction(0))
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan], ids=repr)
+def test_normal_market_names_a_tol_that_is_not_positive(tol):
+    # its E|Y| series divides by tol and takes its log
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        expected_market(triangle_directed(), NormalSym(), Multilateral(1),
+                        tol)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-7, math.nan], ids=repr)
+def test_laplace_market_never_reads_tol(tol):
+    m, convention = triangle_directed(), Multilateral(1)
+    got, want = (expected_market(m, LaplaceSym(), convention, t)
+                 for t in (tol, 1e-9))
+    assert got.per_netting_set == want.per_netting_set
+    assert got.market_total == want.market_total

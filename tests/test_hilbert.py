@@ -660,7 +660,7 @@ def normal_abs_mean_reference(a: int, b: int, c: int) -> float:
     return 2 / math.pi * (head + 1e-4 - tail)
 
 
-@pytest.mark.parametrize("tol", [1e4, 1e-7, 1e-9, 1e-12])
+@pytest.mark.parametrize("tol", [math.inf, 1e4, 1e-7, 1e-9, 1e-12])
 def test_normal_series_balanced_pair_within_its_bound(tol):
     # E|Z_1| - |Z_2|| = 4 (sqrt 2 - 1) / sqrt(2 pi); a loose tol is
     # served as tol 1
@@ -714,14 +714,29 @@ def test_forced_method_must_be_applicable(omega):
         hilbert_eval(laplace, omega, method="bogus")
 
 
-@pytest.mark.parametrize("f, route", [
+# a c.f. that each route's auto dispatch picks
+ROUTE_CASES = [
     (cf_product([charfn_of(LaplaceSym(1.0))] * 2), "residue"),
     (cf_product([charfn_of(NormalSym(1.0))] * 3), "dawson"),
     (pos_abs_cf(charfn_of(NormalSym(1.0))), "onesided"),
     (charfn_of(UniformSym(1.0)), "closed-form"),
     (cf_product([charfn_of(UniformSym(1.0))] * 2), "pv"),
     (cf_product([]), "closed-form"),
-], ids=["laplace2", "normal3", "pos-normal", "uniform", "uniform2", "one"])
+]
+ROUTE_IDS = ["laplace2", "normal3", "pos-normal", "uniform", "uniform2", "one"]
+
+
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf], ids=repr)
+@pytest.mark.parametrize("f, route", ROUTE_CASES, ids=ROUTE_IDS)
+def test_non_finite_omega_is_a_value_error(f, route, omega):
+    # T > _PV_TMAX is False at nan: the PV truncation point would double
+    # forever
+    for method in ("auto", route):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            hilbert_eval(f, omega, method=method)
+
+
+@pytest.mark.parametrize("f, route", ROUTE_CASES, ids=ROUTE_IDS)
 def test_array_transform_follows_the_route_table(f, route):
     # the array form used inside c.f.s equals the routed transform at
     # every point, to the last bit
