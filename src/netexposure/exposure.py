@@ -31,7 +31,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .laws import (DEFAULT_TOL, Distribution, LaplaceSym, MomentError,
-                   NormalSym, UniformSym, _square)
+                   NormalSym, UniformSym, _require_two_sided, _square)
 from .market import (
     Bilateral,
     Convention,
@@ -39,10 +39,9 @@ from .market import (
     Market,
     Multilateral,
     NettingSet,
-    _items,
-    _kind,
     _mirrored,
     _partition,
+    _set,
     _signature,
     netting_sets,  # not called here: the binding bench/spans.py wraps
     require_valid,
@@ -86,14 +85,27 @@ class SetExposure(NamedTuple):
     exact: Fraction | None = None
 
 
+class _Rows:
+    """A market's rows, built on first iteration and then kept."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __iter__(self):
+        self.rows = tuple(self.rows)
+        return iter(self.rows)
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 class ExposureReport(namedtuple("ExposureReport", (
         "convention", "rows", "per_participant", "market_total",
         "market_total_exact", "components", "pair_view"))):
-    """A market evaluation. ``per_netting_set`` is made from ``rows`` (any
-    iterable of ``SetExposure``) on first read, and cached in the
-    ``__dict__`` that this named tuple subclass keeps. ``rows`` is its
-    source only, not meant to be read: it may be a generator, spent once
-    ``per_netting_set`` has been read, and so is its part of the repr."""
+    """A market evaluation. ``per_netting_set`` is the tuple of ``rows``
+    (any iterable of ``SetExposure``), cached on first read. A market's
+    rows are built when first read and then kept: ``_replace`` copies
+    share them, and a pickle or deep copy holds them as a tuple."""
 
     @cached_property
     def per_netting_set(self) -> tuple[SetExposure, ...]:
@@ -112,6 +124,9 @@ def exact_exposure(dist: Distribution, plus: int, minus: int,
     finite difference of x_+^(n+1)/(n+1)! (Irwin-Hall, box spline) cancels
     heavily, so it is summed in integers.
     """
+    for name, count in (("plus", plus), ("minus", minus), ("sym", sym)):
+        if count < 0:
+            raise ValueError(f"negative {name} count: {count}")
     if plus == sym == 0:
         return Fraction(0)
     if not isinstance(dist, (LaplaceSym, UniformSym)):
@@ -142,12 +157,6 @@ def _finite(x: Fraction | float) -> float:
     if abs(f) < sys.float_info.max or abs(x) <= sys.float_info.max:
         return f  # on +-max, x itself is compared: it may be above max
     raise MomentError("exposure outside the floating-point range")
-
-
-def _require_two_sided(dist: Distribution) -> None:
-    if not dist.two_sided:
-        raise ValueError("market positions need a two-sided symmetric "
-                         f"distribution, got {dist!r}")
 
 
 def netting_set_cf(m: Market, s: NettingSet, dist: Distribution
@@ -291,16 +300,16 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
                     tol: float = DEFAULT_TOL) -> ExposureReport:
     """Expected exposure under any convention (custom partitions included),
     from the signature census of its netting sets. Each signature is valued
-    once, by ``expected_exposure`` on its first set, and each set adds that
-    value in set order, so every float total is the set-by-set sum; the
-    exact one sums integers over the least common denominator."""
+    once, by ``expected_exposure`` on its first set. Every float total is a
+    running sum in set order on every Python; the exact one sums integers
+    over the least common denominator."""
     require_valid(m)
     groups = _partition(m, convention)
     custom = isinstance(convention, Custom)
     cache: dict = {}  # one market evaluation: one law, one tolerance
     seen: dict = {}  # signature -> [its first set's SetExposure, set count]
     firsts = {}  # (owner, key) of a signature's first set -> its SetExposure
-    values, per_participant, components, pair_view = [], {}, {}, {}
+    total, per_participant, components, pair_view = 0.0, {}, {}, {}
     multilateral = isinstance(convention, Multilateral)
     pool_name, rest_name = ("multilateral", "bilateral_rest") \
         if multilateral else (None, "bilateral")
@@ -313,13 +322,12 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
             if group[0] != group[1] and _mirrored(v, key, group):
                 signature = group[1], group[0], group[2]  # as ``v`` reads it
             if (entry := seen.get(signature)) is None:
-                s = NettingSet(v, _items(v, key, group),
-                               _kind(key, convention))
-                e = firsts[v, key] = expected_exposure(m, s, dist, tol, cache)
+                e = firsts[v, key] = expected_exposure(
+                    m, _set(v, key, group, convention), dist, tol, cache)
                 entry = seen[signature] = [e, 0]
             entry[1] += 1
             value = entry[0].value
-            values.append(value)
+            total += value
             subtotal += value
             if key is None:
                 components[pool_name] = components.get(pool_name, 0.0) + value
@@ -328,16 +336,11 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
                 pair = (v, key) if v < key else (key, v)
                 pair_view[pair] = pair_view.get(pair, 0.0) + value
         per_participant[v] = subtotal
-
-    def rows():  # the census's first sets, and one call for each other set
-        for v in m.participants:
-            for key, group in groups[v].items():
-                if len(group) > 3:
-                    yield firsts.get((v, key)) or expected_exposure(
-                        m, NettingSet(v, _items(v, key, group),
-                                      _kind(key, convention)),
-                        dist, tol, cache)
-
+    # the census's first sets, and one call for each other set
+    rows = (firsts.get((v, key)) or expected_exposure(
+                m, _set(v, key, group, convention), dist, tol, cache)
+            for v in m.participants for key, group in groups[v].items()
+            if len(group) > 3)
     exact = None
     if seen and all(e.exact is not None for e, _ in seen.values()):
         d = math.lcm(*(e.exact.denominator for e, _ in seen.values()))
@@ -348,5 +351,5 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
         components.setdefault(rest_name, 0.0)
     name = f"multilateral:{convention.cls}" if multilateral else \
         "custom" if custom else "bilateral"
-    return ExposureReport(name, rows(), per_participant, _finite(sum(values)),
+    return ExposureReport(name, _Rows(rows), per_participant, _finite(total),
                           exact, components, pair_view)

@@ -68,6 +68,12 @@ def _square(spec: "Distribution", x: float) -> float:
     return sq
 
 
+def _require_two_sided(dist: Distribution) -> None:
+    if not dist.two_sided:
+        raise ValueError("market positions need a two-sided symmetric "
+                         f"distribution, got {dist!r}")
+
+
 class LaplaceSym(Distribution, namedtuple("LaplaceSym", "scale",
                                           defaults=(1.0,))):
     """Symmetric Laplace law with density exp(-|x|/b) / (2b)."""

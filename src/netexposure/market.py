@@ -325,11 +325,11 @@ def _items(owner: str, key, group: list) -> tuple[tuple[int, int], ...]:
     return tuple(group[3:])
 
 
-def _kind(key: str | int | None, convention: Convention) -> str:
-    """The kind of the netting set of a ``_partition`` group's key."""
-    if key is None:
-        return f"multilateral:{convention.cls}"
-    return f"bilateral:{key}" if type(key) is str else "custom"
+def _set(owner: str, key, group: list, convention: Convention) -> NettingSet:
+    """``owner``'s netting set of its ``_partition`` group under ``key``."""
+    kind = f"multilateral:{convention.cls}" if key is None else \
+        f"bilateral:{key}" if type(key) is str else "custom"
+    return NettingSet(owner, _items(owner, key, group), kind)
 
 
 def netting_sets(m: Market, convention: Convention
@@ -343,8 +343,8 @@ def netting_sets(m: Market, convention: Convention
     non-empty, incident to their owner, and cover all of the owner's
     links.
     """
-    return {v: [NettingSet(v, _items(v, k, g), _kind(k, convention))
-                for k, g in groups.items() if len(g) > 3]
+    return {v: [_set(v, k, g, convention) for k, g in groups.items()
+                if len(g) > 3]
             for v, groups in _partition(m, convention).items()}
 
 
@@ -375,7 +375,10 @@ def current_bilateral_risk(m: Market) -> float:
     Claims of one side are the liabilities of the other, so each unordered
     pair contributes the absolute value of its net position.
     """
-    return float(sum(max(y, 0.0) for _, y in _realised(m, Bilateral())))
+    risk = 0.0
+    for _, y in _realised(m, Bilateral()):
+        risk += max(y, 0.0)
+    return risk
 
 
 class MultilateralRisk(NamedTuple):

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .laws import (Distribution, Exponential, Gamma, LaplaceSym, MomentError,
-                   NormalSym, UniformSym)
+                   NormalSym, UniformSym, _require_two_sided)
 from .market import (
     Convention,
     Market,
@@ -158,9 +158,7 @@ def link_draw(m: Market, dist: Distribution, link_index: int, n: int,
     link's source. The draws fill ``out`` (n float64 values) when it is
     given, with the same bits as a fresh vector.
     """
-    if not dist.two_sided:
-        raise ValueError("market positions need a two-sided symmetric "
-                         f"distribution, got {dist!r}")
+    _require_two_sided(dist)
     sign = +1 if m.links[link_index].directed else None
     return sample(dist, _link_rng(seed, link_index), sign=sign, size=n,
                   out=out)

@@ -1,8 +1,10 @@
 """Netting-set characteristic functions, expected exposures, and
 market-level aggregation."""
 
+import copy
 import itertools
 import math
+import pickle
 import sys
 from fractions import Fraction
 
@@ -681,6 +683,58 @@ def test_market_evaluations_value_each_signature_once(monkeypatch):
         assert [e.links for e in rows] == [s.link_indices for s in sets]
         calls.clear()
         assert report.per_netting_set is rows and calls == []
+
+
+def test_report_rows_survive_a_copy(monkeypatch):
+    # a market's rows are built on first read, one call per set, and kept:
+    # a _replace copy shares them whichever is read first, reading rows
+    # leaves per_netting_set whole, and pickle and deepcopy carry them
+    from netexposure import exposure
+
+    calls = []
+    original = exposure.expected_exposure
+
+    def counting(m, s, *args, **kwargs):
+        calls.append(s)
+        return original(m, s, *args, **kwargs)
+
+    monkeypatch.setattr(exposure, "expected_exposure", counting)
+    m = directed_complete_market(6, 3)
+    sets = [s for v, owned in netting_sets(m, Multilateral(1)).items()
+            for s in owned]
+
+    def evaluate():
+        return expected_market(m, NormalSym(1.0), Multilateral(1))
+
+    want = evaluate().per_netting_set
+    assert [e.links for e in want] == [s.link_indices for s in sets]
+    for first in range(2):
+        calls.clear()
+        r = evaluate()
+        pair = [r, r._replace(convention="x")]
+        assert len(calls) < len(sets)  # the census only: rows stay lazy
+        assert pair[first].per_netting_set == want
+        assert pair[1 - first].per_netting_set == want
+        assert sorted(calls) == sorted(sets)  # each set exactly once
+    r = evaluate()
+    assert tuple(r.rows) == want and r.per_netting_set == want
+    for r in (evaluate(), evaluate()._replace(convention="x")):
+        pickled = pickle.loads(pickle.dumps(r))
+        copied = copy.deepcopy(r)
+        assert pickled.per_netting_set == copied.per_netting_set == want
+        assert tuple(pickled.rows) == tuple(copied.rows) == want
+        assert pickled[2:] == copied[2:] == r[2:]
+        assert r.per_netting_set == want
+
+
+@pytest.mark.parametrize("others", [0, 2])
+@pytest.mark.parametrize("slot", ["plus", "minus", "sym"])
+@pytest.mark.parametrize("dist", [LaplaceSym(1.0), UniformSym(1.0),
+                                  NormalSym(1.0)], ids=repr)
+def test_exact_exposure_names_a_negative_count(dist, slot, others):
+    counts = {"plus": others, "minus": others, "sym": others, slot: -1}
+    with pytest.raises(ValueError, match=f"negative {slot} count: -1"):
+        exact_exposure(dist, **counts)
 
 
 UNIFORM_EXACT = {(1, 1): Fraction(1, 6), (1, 2): Fraction(1, 24),

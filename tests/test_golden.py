@@ -43,10 +43,13 @@ FILE_COMMANDS = {
     "analyze-table": ("analyze",),
 }
 MARKETS = ("laplace-12", "normal-5", "triangle")
+# the laplace-12 links under a uniform law: totals whose sums round
+ROUNDING = ("analyze-bilateral-json", "analyze-multilateral-json")
 # report edge cases: a custom convention (no components, no pairs),
 # participant ids that JSON escapes, an isolated participant
 EDGE_MARKETS = ("custom", "unicode", "isolated")
 CASES = ([(market, name) for market in MARKETS for name in COMMANDS]
+         + [("uniform-12", name) for name in ROUNDING]
          + [(market, name) for market in EDGE_MARKETS
             for name in FILE_COMMANDS])
 # one hilbert-eval per transform route, written to hilbert-eval.<name>.out
@@ -113,11 +116,13 @@ def _markets() -> dict[str, dict]:
     rng = random.Random(20261018)
     tri = triangle_directed()
     odd = ["Z\u00fcrich", "\u6771\u4eac", 'q"uote\\', "\U0001f642"]
+    laplace = {"participants": [f"p{i}" for i in range(12)], "classes": 3,
+               "links": _complete(rng, 12, 3, False),
+               "dist": {"type": "laplace", "scale": 1.5}}
     return {
-        "laplace-12": {
-            "participants": [f"p{i}" for i in range(12)], "classes": 3,
-            "links": _complete(rng, 12, 3, False),
-            "dist": {"type": "laplace", "scale": 1.5}},
+        "laplace-12": laplace,
+        "uniform-12": {**laplace,
+                       "dist": {"type": "uniform", "half_width": 0.3}},
         "normal-5": {
             "participants": [f"p{i}" for i in range(5)], "classes": 3,
             "links": _complete(rng, 5, 3, True),
