@@ -9,7 +9,8 @@ oracle (``mc``) draws the laws' samples itself.
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -250,15 +251,15 @@ def cf_product(factors: Iterable[CharFn]) -> CharFn:
     rational = None
     if all(f.rational is not None for f in fs):
         rational = _merge_rational([f.rational for f in fs])
-    gaussian = None
+    gaussian = mean = None  # running sums: 3.12's sum() compensates
     if all(f.gaussian_variance is not None for f in fs):
-        gaussian = float(sum(k * f.gaussian_variance
-                             for f, k in repeats.items()))
+        gaussian = float(reduce(add, (k * f.gaussian_variance
+                                      for f, k in repeats.items()), 0.0))
     sides = {f.side for f in fs}
     side = sides.pop() if len(sides) == 1 and None not in sides else None
-    mean = None
     if all(f.mean is not None for f in fs):
-        mean = float(sum(k * f.mean for f, k in repeats.items()))
+        mean = float(reduce(add, (k * f.mean for f, k in repeats.items()),
+                            0.0))
     return CharFn(
         fn=fn,
         rational=rational,

@@ -6,6 +6,7 @@ or usage problems or a closed stdout, 2 on numeric failure.
 """
 
 import argparse
+import gc
 import math
 import os
 import sys
@@ -252,6 +253,8 @@ def main(argv=None) -> int:
         if exc.code != 2:
             raise
         return EXIT_INVALID
+    enabled = gc.isenabled()  # the caller's, restored on every exit
+    gc.disable()  # a command builds no cycles: the collector only rescans
     try:
         if not 0 < args.tol < math.inf:
             raise ParseError("--tol must be positive and finite, "
@@ -270,6 +273,9 @@ def main(argv=None) -> int:
     except (ParseError, MarketError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -309,10 +309,11 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
     cache: dict = {}  # one market evaluation: one law, one tolerance
     seen: dict = {}  # signature -> [its first set's SetExposure, set count]
     firsts = {}  # (owner, key) of a signature's first set -> its SetExposure
-    total, per_participant, components, pair_view = 0.0, {}, {}, {}
+    total, per_participant, pair_view = 0.0, {}, {}
     multilateral = isinstance(convention, Multilateral)
     pool_name, rest_name = ("multilateral", "bilateral_rest") \
         if multilateral else (None, "bilateral")
+    components = {pool_name: 0.0, rest_name: 0.0} if multilateral else {}
     for v in m.participants:
         subtotal = 0.0
         for key, group in groups[v].items():
@@ -330,7 +331,7 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
             total += value
             subtotal += value
             if key is None:
-                components[pool_name] = components.get(pool_name, 0.0) + value
+                components[pool_name] += value
             elif not custom:
                 components[rest_name] = components.get(rest_name, 0.0) + value
                 pair = (v, key) if v < key else (key, v)
@@ -346,9 +347,6 @@ def expected_market(m: Market, dist: Distribution, convention: Convention,
         d = math.lcm(*(e.exact.denominator for e, _ in seen.values()))
         exact = Fraction(sum(n * e.exact.numerator * (d // e.exact.denominator)
                              for e, n in seen.values()), d)
-    if multilateral:
-        components.setdefault(pool_name, 0.0)
-        components.setdefault(rest_name, 0.0)
     name = f"multilateral:{convention.cls}" if multilateral else \
         "custom" if custom else "bilateral"
     return ExposureReport(name, _Rows(rows), per_participant, _finite(total),

@@ -1,5 +1,6 @@
 """Shared market builders for the test suite."""
 
+import gc
 import os
 import sys
 
@@ -23,6 +24,18 @@ USAGE_ERRORS = (
     ["frobnicate"],
     [],
 )
+
+
+@pytest.fixture(autouse=True)
+def collector_left_on():
+    """Fail a test that ends with the cyclic garbage collector disabled.
+    A CLI command pauses it and restores its caller's state, so every test
+    that runs ``main`` checks that restore; the next test starts with it
+    enabled either way."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 def illustrative_market() -> Market:

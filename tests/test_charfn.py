@@ -181,6 +181,17 @@ def test_gaussian_variance_adds_exactly():
     assert prod(1.0) == pytest.approx(math.exp(-0.5 * k * 1.5**2))
 
 
+def test_product_tags_add_left_to_right():
+    # a running sum, as python3.11's sum() adds; math.fsum (and sum() from
+    # python3.12 on) gives 1.0000000000000002 for these three tags
+    tags = (1.0, 1e-16, 1e-16)
+    fs = [CharFn(fn=lambda t, v=v: np.exp(-0.5 * v * t * t),
+                 gaussian_variance=v, mean=v) for v in tags]
+    prod = cf_product(fs)
+    assert math.fsum(tags) == 1.0000000000000002
+    assert (prod.gaussian_variance, prod.mean) == (1.0, 1.0)
+
+
 def test_empty_product_is_one():
     one = cf_product([])
     assert one(0.3) == pytest.approx(1.0 + 0j)

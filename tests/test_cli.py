@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import gc
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from netexposure import (
     Exponential,
     Gamma,
     LaplaceSym,
+    Link,
+    Market,
     Multilateral,
     NormalSym,
     UniformSym,
@@ -212,6 +215,22 @@ def test_analyze_convention_override(tmp_path, capsys):
     assert main(["analyze", "--market", str(path),
                  "--convention", "multilateral:1"]) == 0
     assert "8.87500000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fmt", ["json", "table"])
+def test_components_list_the_pool_first_on_any_layout(tmp_path, capsys, fmt):
+    # the first participant trades only the unpooled class
+    market = Market(("a", "b", "c"), 2, (Link("a", "b", 2, True),
+                                         Link("b", "c", 1, True)))
+    path = market_file(tmp_path, market, None, LaplaceSym(1.0))
+    assert main(["analyze", "--market", str(path), "--convention",
+                 "multilateral:1", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        names = list(json.loads(out)["components"])
+    else:
+        names = re.findall(r"^component (\w+):", out, re.MULTILINE)
+    assert names == ["multilateral", "bilateral_rest"]
 
 
 def test_compare_netting_verdict(tmp_path, capsys):
@@ -846,6 +865,97 @@ def test_closed_stdout_exits_one_without_a_traceback():
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (1, b"")
+
+
+# ---------------------------------------------------------------------------
+# The cyclic garbage collector, paused for a command
+# ---------------------------------------------------------------------------
+
+TABLE = ["advantage-table", "--dist", "laplace", "--kmax", "2"]
+
+
+def stub_command(monkeypatch, effect):
+    """Replace advantage-table's handler with ``effect``; returns the
+    collector states the handler saw."""
+    seen = []
+
+    def handler(args):
+        seen.append(gc.isenabled())
+        return effect()
+
+    help_text, add_arguments, _ = cli._COMMANDS["advantage-table"]
+    monkeypatch.setitem(cli._COMMANDS, "advantage-table",
+                        (help_text, add_arguments, handler))
+    return seen
+
+
+def run_with_collector(enabled, argv):
+    """main(argv) from a caller whose collector is ``enabled``: its exit
+    code (help's included) and the collector's state after it."""
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return code, gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch, capsys):
+    seen = stub_command(monkeypatch, lambda: 0)
+    assert run_with_collector(True, TABLE) == (0, True)
+    assert seen == [False]
+
+
+def broken_pipe():
+    raise BrokenPipeError
+
+
+def numeric_failure():
+    raise RuntimeError("quadrature stalled")
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("argv, effect, code", [
+    (TABLE, None, 0),
+    (["--tol", "0", *TABLE], None, 1),
+    (TABLE, numeric_failure, 2),
+    (TABLE, broken_pipe, 1),
+    (["--help"], None, 0),
+    (["analyze", "--help"], None, 0),
+], ids=["ok", "bad-tol", "numeric-failure", "broken-pipe", "help",
+        "command-help"])
+def test_every_exit_restores_the_callers_collector(
+        monkeypatch, capsys, tmp_path, enabled, argv, effect, code):
+    if effect is not None:
+        stub_command(monkeypatch, effect)
+    # the broken-pipe path points stdout's descriptor at os.devnull
+    with open(tmp_path / "stdout", "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert run_with_collector(enabled, argv) == (code, enabled)
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze", "--convention", "multilateral:1", "--format", "json"],
+    ["analyze", "--convention", "bilateral"],
+    ["compare-netting", "--class", "1"],
+    ["mc-check", "--convention", "bilateral", "--samples", "100"],
+], ids=" ".join)
+def test_a_commands_cyclic_garbage_does_not_grow_with_the_market(
+        tmp_path, capsys, command):
+    # what the collector finds after a command is the same at N = 10 and
+    # N = 40, so pausing it for one command leaves nothing to pile up
+    small, large = (market_file(tmp_path, complete_market(n, 3), None,
+                                LaplaceSym(1.0), name=f"n{n}.json")
+                    for n in (10, 40))
+    found = []
+    for path in (small, small, large):  # the first call warms lazy imports
+        gc.collect()
+        assert main([*command, "--market", str(path)]) == 0
+        found.append(gc.collect())
+    assert found[1] == found[2]
 
 
 @pytest.mark.parametrize("market, dist", [

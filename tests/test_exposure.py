@@ -589,9 +589,12 @@ def test_exact_total_equals_one_by_one_sum(convention, dist):
 def set_by_set_report(m, dist, convention):
     """Every field of a market report, each set valued by its own
     ``expected_exposure`` call and added set by set in participant order."""
-    rows, per_participant, components, pairs = [], {}, {}, {}
+    rows, per_participant, pairs = [], {}, {}
     rest = "bilateral" if isinstance(convention, Bilateral) else \
         "bilateral_rest"
+    # a pooled class lists both components, the pool first, on any layout
+    components = {"multilateral": 0.0, "bilateral_rest": 0.0} \
+        if isinstance(convention, Multilateral) else {}
     for v, sets in netting_sets(m, convention).items():
         per_participant[v] = 0.0
         for s in sets:
@@ -606,9 +609,6 @@ def set_by_set_report(m, dist, convention):
                 components[rest] = components.get(rest, 0.0) + e.value
                 pair = tuple(sorted((v, peer)))
                 pairs[pair] = pairs.get(pair, 0.0) + e.value
-    if isinstance(convention, Multilateral):
-        components.setdefault("multilateral", 0.0)
-        components.setdefault("bilateral_rest", 0.0)
     exact = None
     if rows and all(e.exact is not None for e in rows):
         exact = sum((e.exact for e in rows), Fraction(0))
